@@ -133,22 +133,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _scored_pairs(pairs, r_chosen, r_rejected) -> list[evaluation.ScoredPair]:
+    return [
+        evaluation.ScoredPair(p.pair_id, float(c), float(r), p.source_tier, p.criterion.value)
+        for p, c, r in zip(pairs, r_chosen, r_rejected)
+    ]
+
+
 def cmd_score(args) -> int:
     pairs = read_pairs(args.pairs)
     cfg, params = scorer.load_checkpoint(args.checkpoint)
-    scored = []
-    for pair in pairs:
-        rc, _ = scorer.score(pair.chosen, pair.criterion, cfg, params)
-        rr, _ = scorer.score(pair.rejected, pair.criterion, cfg, params)
-        scored.append(
-            evaluation.ScoredPair(
-                pair_id=pair.pair_id,
-                r_chosen=rc,
-                r_rejected=rr,
-                subset=pair.source_tier,
-                criterion=pair.criterion.value,
-            )
-        )
+    scored = _scored_pairs(pairs, *training.score_pairs(pairs, cfg, params))
     out = _resolve(args.out_dir, args.out)
     evaluation.write_scores(scored, out)
     print(f"scored {len(scored)} pairs to {out}")
@@ -256,10 +251,7 @@ def cmd_e2e(args) -> int:
     scorer.save_checkpoint(out_dir / "best.ckpt", scorer_cfg, result.best_params)
 
     rc, rr = training.score_pairs(val_pairs, scorer_cfg, result.best_params)
-    scored = [
-        evaluation.ScoredPair(p.pair_id, float(c), float(r), p.source_tier, p.criterion.value)
-        for p, c, r in zip(val_pairs, rc, rr)
-    ]
+    scored = _scored_pairs(val_pairs, rc, rr)
     evaluation.write_scores(scored, out_dir / "val-scores.jsonl")
     report = evaluation.build_report(scored)
     (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")

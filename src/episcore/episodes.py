@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FeatureIOError, InvariantError, ManifestParseError
+from .errors import DuplicateIdError, FeatureIOError, InvariantError, ManifestParseError
 
 SOURCE_TIERS = ("wild", "semi-wild", "scripted", "colloquial")
 MODALITY_TIERS = ("wild", "semi-wild", "scripted")
@@ -280,7 +280,9 @@ def _features_dir_for(path: Path) -> Path:
 
 
 def _sidecar_name(owner_id: str, index: int) -> str:
-    safe = owner_id.replace("/", "_").replace("\\", "_")
+    # Percent-escaping "%" first keeps the mapping injective, so distinct
+    # owners never share a sidecar file.
+    safe = owner_id.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
     return f"{safe}.{index:02d}.f32"
 
 
@@ -348,9 +350,16 @@ def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
     """Write a pair manifest plus feature sidecars.
 
     Sidecars go to ``<stem>_features/`` next to the manifest, one file per
-    turn, named deterministically from (pair_id, side, turn index), so
-    rewriting the same pairs produces byte-identical output.
+    turn, named deterministically and injectively from (pair_id, side,
+    turn index), so rewriting the same pairs produces byte-identical
+    output. Raises DUPLICATE_ID, before writing anything, when two pairs
+    share a pair_id.
     """
+    seen = set()
+    for pair in pairs:
+        if pair.pair_id in seen:
+            raise DuplicateIdError(f"duplicate pair_id {pair.pair_id!r}")
+        seen.add(pair.pair_id)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     features_dir = _features_dir_for(path)
@@ -372,13 +381,15 @@ def read_pairs(path: str | Path) -> list[PreferencePair]:
     """Read a pair manifest, rejecting records that violate invariants.
 
     Raises :class:`ManifestParseError` (with the line number) for records
-    that do not match the schema and :class:`InvariantError` (with the
-    violation codes) for records whose episodes fail validation or whose
-    sides disagree on turn count or tier.
+    that do not match the schema, :class:`DuplicateIdError` (with the line
+    number) for a pair_id seen on an earlier line, and
+    :class:`InvariantError` (with the violation codes) for records whose
+    episodes fail validation or whose sides disagree on turn count or tier.
     """
     path = Path(path)
     base_dir = path.parent
     pairs = []
+    seen = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -399,6 +410,9 @@ def read_pairs(path: str | Path) -> list[PreferencePair]:
                 raise ManifestParseError(f"pair record missing key {exc}", line=lineno) from exc
             except ValueError as exc:
                 raise ManifestParseError(f"bad pair record: {exc}", line=lineno) from exc
+            if pair_id in seen:
+                raise DuplicateIdError(f"duplicate pair_id {pair_id!r}", line=lineno)
+            seen.add(pair_id)
             if split not in SPLITS:
                 raise ManifestParseError(f"unknown split {split!r}", line=lineno)
             if source_tier not in SOURCE_TIERS:

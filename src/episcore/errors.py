@@ -23,6 +23,12 @@ class ManifestParseError(EpiscoreError):
         super().__init__(message)
 
 
+class DuplicateIdError(ManifestParseError):
+    """Two records of one manifest share an id."""
+
+    code = "DUPLICATE_ID"
+
+
 class InvariantError(EpiscoreError):
     """A structurally parseable record violates domain invariants."""
 

@@ -132,7 +132,7 @@ def run_gradcheck(
     groups = {name: GroupResult() for name in PARAM_FIELDS}
     for draw in range(n_draws):
         cfg, params, episode, criterion = random_case(rng)
-        inputs = scorer.episode_input_matrix(episode, cfg)
+        batch = scorer.pack_episodes([episode], [criterion], cfg)
         for mode in modes:
             mode_cfg = ScorerConfig(
                 d_in=cfg.d_in,
@@ -141,12 +141,12 @@ def run_gradcheck(
                 head_hidden=cfg.head_hidden,
                 max_frames_per_turn=cfg.max_frames_per_turn,
             )
-            _, acts = scorer.score(episode, criterion, mode_cfg, params, inputs=inputs)
-            analytic = scorer.backward(acts, 1.0, mode_cfg, params)
+            acts = scorer.score_batch(batch, mode_cfg, params)
+            analytic = scorer.backward_batch(acts, np.ones(1), mode_cfg, params)
             if corrupt_group is not None:
                 getattr(analytic, corrupt_group)[...] += 1e-2
             numeric = numerical_gradient(
-                lambda p: scorer.score(episode, criterion, mode_cfg, p, inputs=inputs)[0],
+                lambda p: scorer.score_batch(batch, mode_cfg, p).r[0],
                 params,
                 h=h,
             )

@@ -3,9 +3,9 @@
 ``group_segments`` turns a diarized segment stream into candidate episodes
 by cutting at rule violations: a gap below the minimum interval, the group
 duration cap, or the two-dominant-speaker assumption breaking. Finalized
-groups keep only their two dominant speakers, must not be too sparse
-(speech time / wall-clock span below the overlap ratio floor), and get an
-odd trailing turn dropped so the turn count is even.
+groups keep only their two dominant speakers, get an odd trailing turn
+dropped so the turn count is even, and must then not be too sparse
+(speech time / wall-clock span below the overlap ratio floor).
 
 ``synth_pairs`` is the desk-scale oracle generator: chosen and rejected
 episodes share transcripts, structure, and a per-tier channel offset (the
@@ -144,6 +144,8 @@ def group_segments(
     counter = 0
     for group in groups:
         kept = _dominant_two(group)
+        if len(kept) % 2 != 0:
+            kept = kept[:-1]  # repair: drop the trailing turn
         if len(kept) < 2:
             continue
         speech = sum(seg.duration_s for seg in kept)
@@ -161,10 +163,6 @@ def group_segments(
             )
             for seg in kept
         ]
-        if len(turns) % 2 != 0:
-            turns = turns[:-1]  # repair: drop the trailing turn
-        if len(turns) < 2:
-            continue
         episodes.append(Episode(f"{episode_prefix}-{counter:04d}", turns, source_tier))
         counter += 1
     return episodes

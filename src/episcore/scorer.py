@@ -14,13 +14,21 @@ whitespace-split token strings; no external tokenizer is involved.
 
 Every non-criterion row is encoded as h = tanh(W_enc f + b_enc), the
 sequence is pooled (last / mean / attention), and a one-hidden-layer tanh
-MLP maps the pooled vector to a scalar reward. The forward pass caches
-enough intermediates for :func:`backward` to produce exact reverse-mode
-gradients of the reward w.r.t. every parameter tensor, which the test
-suite verifies against central finite differences.
+MLP maps the pooled vector to a scalar reward.
 
-All arithmetic is float64 for clean gradient checks. Scoring is pure:
-identical (episode, criterion, params) gives a bitwise-identical reward.
+Scoring is batched: :func:`pack_episodes` packs the sequences of many
+episodes into one ragged :class:`EpisodeBatch`, :func:`score_batch` scores
+them all in one forward pass, and :func:`backward_batch` produces exact
+reverse-mode gradients of any weighted sum of their rewards w.r.t. every
+parameter tensor, which the test suite verifies against central finite
+differences. :func:`score` and :func:`backward` are the same code on a
+batch of one.
+
+All arithmetic is float64 for clean gradient checks. Determinism: the
+same params and the same batch composition (the same episodes, criteria
+and order) give bitwise-identical rewards and gradients. The same episode
+scored as a batch of one and inside a larger batch agrees within 1e-15,
+not bitwise.
 """
 
 from __future__ import annotations
@@ -150,6 +158,11 @@ def token_embedding(token: str, d_in: int) -> np.ndarray:
     return _token_vector_cached(token, d_in)
 
 
+def _input_row_count(episode: Episode, cfg: ScorerConfig) -> int:
+    """Number of rows :func:`episode_input_matrix` returns for ``episode``."""
+    return sum(len(tokenize(t.transcript)) + min(t.n_frames, cfg.max_frames_per_turn) for t in episode.turns)
+
+
 def episode_input_matrix(episode: Episode, cfg: ScorerConfig) -> np.ndarray:
     """Stack the non-criterion input frames of an episode, in layout order."""
     rows = []
@@ -167,6 +180,53 @@ def episode_input_matrix(episode: Episode, cfg: ScorerConfig) -> np.ndarray:
     return np.vstack(rows).astype(np.float64, copy=False)
 
 
+def _segment_starts(lengths: np.ndarray) -> np.ndarray:
+    return np.cumsum(lengths) - lengths
+
+
+@dataclass(eq=False)
+class EpisodeBatch:
+    """The input rows of B episodes, packed for one ragged forward pass.
+
+    Episode i owns the segment ``x[starts[i] : starts[i] + lengths[i]]``.
+    The segment's first row is a zero placeholder at the position of the
+    criterion row (the encoder output there is replaced by the criterion
+    embedding); the rest are the episode's :func:`episode_input_matrix`
+    rows. So every segment has at least one row, and lengths[i] is the
+    episode's sequence length L.
+    """
+
+    x: np.ndarray         # (R, d_in) float64, R = lengths.sum()
+    starts: np.ndarray    # (B,) first row of each segment
+    lengths: np.ndarray   # (B,) rows per segment, >= 1
+    criteria: np.ndarray  # (B,) criterion-embedding row of each episode
+
+    def __len__(self) -> int:
+        return int(self.lengths.size)
+
+    def take(self, index) -> "EpisodeBatch":
+        """The batch of episodes ``index`` (in that order), rows gathered by index."""
+        index = np.asarray(index, dtype=np.intp)
+        lengths = self.lengths[index]
+        starts = _segment_starts(lengths)
+        rows = np.repeat(self.starts[index] - starts, lengths) + np.arange(int(lengths.sum()))
+        return EpisodeBatch(self.x[rows], starts, lengths, self.criteria[index])
+
+
+def pack_episodes(episodes: list[Episode], criteria: list[Criterion], cfg: ScorerConfig) -> EpisodeBatch:
+    """Pack episodes (each scored under its criterion) into one batch.
+
+    Two passes over the episodes: count each one's rows, then copy its
+    input matrix into its slice of a single preallocated matrix.
+    """
+    lengths = np.array([1 + _input_row_count(ep, cfg) for ep in episodes], dtype=np.intp)
+    starts = _segment_starts(lengths)
+    x = np.zeros((int(lengths.sum()), cfg.d_in))
+    for ep, start, length in zip(episodes, starts, lengths):
+        x[start + 1 : start + length] = episode_input_matrix(ep, cfg)
+    return EpisodeBatch(x, starts, lengths, np.array([c.index for c in criteria], dtype=np.intp))
+
+
 # ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------
@@ -174,98 +234,93 @@ def episode_input_matrix(episode: Episode, cfg: ScorerConfig) -> np.ndarray:
 
 @dataclass(eq=False)
 class Activations:
-    """Cached intermediates of one forward pass, consumed by backward()."""
+    """Cached intermediates of one batched forward pass, consumed by backward_batch()."""
 
-    x: np.ndarray            # (L-1, d_in) non-criterion input frames
-    h: np.ndarray            # (L, d) encoded sequence
-    mask: np.ndarray         # (L,) bool, True = real row
-    pool_weights: np.ndarray  # (L,) pooling weights, 0 at masked rows
-    pooled: np.ndarray       # (d,)
-    a1: np.ndarray           # (head_hidden,) head hidden activation
-    r: float
-    criterion_index: int
+    batch: EpisodeBatch
+    h: np.ndarray            # (R, d) encoded rows; criterion embeddings at batch.starts
+    attention: np.ndarray | None  # (R,) attention-pooling weights; None for last and mean
+    pooled: np.ndarray       # (B, d)
+    a1: np.ndarray           # (B, head_hidden) head hidden activation
+    r: np.ndarray            # (B,) rewards
     pooling: str
-    params: ScorerParams     # identity tag; backward() rejects stale caches
+    params: ScorerParams     # identity tag; backward_batch() rejects stale caches
 
 
-def _encode_body(x: np.ndarray, params: ScorerParams) -> np.ndarray:
-    return np.tanh(x @ params.w_enc.T + params.b_enc)
+def _encode(batch: EpisodeBatch, cfg: ScorerConfig, params: ScorerParams) -> np.ndarray:
+    check_shapes(cfg, params)
+    if batch.x.shape[1] != cfg.d_in:
+        raise ShapeMismatchError(f"inputs have d_in={batch.x.shape[1]}, config expects {cfg.d_in}")
+    h = batch.x @ params.w_enc.T
+    h += params.b_enc
+    np.tanh(h, out=h)
+    h[batch.starts] = params.e_crit[batch.criteria]
+    return h
+
+
+def _segment_pool(
+    h: np.ndarray, starts: np.ndarray, lengths: np.ndarray, mode: str, params: ScorerParams
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Pool every segment of ``h`` to one row; also return the attention
+    weights (None for last and mean pooling)."""
+    if mode == "last":
+        return h[starts + lengths - 1], None
+    if mode == "mean":
+        return np.add.reduceat(h, starts, axis=0) / lengths[:, None], None
+    if mode == "attention":
+        z = h @ params.q / math.sqrt(h.shape[1])
+        z -= np.repeat(np.maximum.reduceat(z, starts), lengths)
+        e = np.exp(z, out=z)
+        esum = np.add.reduceat(e, starts)
+        pooled = np.add.reduceat(e[:, None] * h, starts, axis=0) / esum[:, None]
+        return pooled, e / np.repeat(esum, lengths)
+    raise ValueError(f"unknown pooling {mode!r}")
 
 
 def encode(
-    episode: Episode,
-    criterion: Criterion,
-    cfg: ScorerConfig,
-    params: ScorerParams,
-    inputs: np.ndarray | None = None,
+    episode: Episode, criterion: Criterion, cfg: ScorerConfig, params: ScorerParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode an episode into the (L, d) hidden sequence plus its mask."""
-    check_shapes(cfg, params)
-    x = episode_input_matrix(episode, cfg) if inputs is None else inputs
-    if x.shape[1] != cfg.d_in:
-        raise ShapeMismatchError(f"inputs have d_in={x.shape[1]}, config expects {cfg.d_in}")
-    h = np.vstack([params.e_crit[criterion.index][None, :], _encode_body(x, params)])
-    mask = np.ones(h.shape[0], dtype=bool)
-    return h, mask
-
-
-def _pool_weights(h: np.ndarray, mask: np.ndarray, mode: str, params: ScorerParams) -> np.ndarray:
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise AllMaskedError("cannot pool a fully masked sequence")
-    w = np.zeros(h.shape[0])
-    if mode == "last":
-        w[idx[-1]] = 1.0
-    elif mode == "mean":
-        w[idx] = 1.0 / idx.size
-    elif mode == "attention":
-        z = h[idx] @ params.q / math.sqrt(h.shape[1])
-        e = np.exp(z - z.max())
-        w[idx] = e / e.sum()
-    else:
-        raise ValueError(f"unknown pooling {mode!r}")
-    return w
+    h = _encode(pack_episodes([episode], [criterion], cfg), cfg, params)
+    return h, np.ones(h.shape[0], dtype=bool)
 
 
 def pool(h: np.ndarray, mask: np.ndarray, mode: str, params: ScorerParams) -> np.ndarray:
-    """Aggregate the hidden sequence into one d-vector.
+    """Aggregate the unmasked rows of a hidden sequence into one d-vector.
 
     last: the last unmasked row. mean: arithmetic mean of unmasked rows.
     attention: softmax(H q / sqrt(d)) weights over unmasked rows. With
     q = 0 the attention weights are exactly uniform, so attention pooling
     reproduces mean pooling bit for bit.
     """
-    return _pool_weights(h, mask, mode, params) @ h
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        raise AllMaskedError("cannot pool a fully masked sequence")
+    pooled, _ = _segment_pool(h[idx], np.zeros(1, dtype=np.intp), np.array([idx.size]), mode, params)
+    return pooled[0]
+
+
+def score_batch(batch: EpisodeBatch, cfg: ScorerConfig, params: ScorerParams) -> Activations:
+    """Rewards of every episode of ``batch`` (``.r``) in one forward pass.
+
+    The encoder is one matmul over all rows, pooling reduces each segment,
+    and the head runs on all pooled rows at once. Bitwise reproducible for
+    the same params and batch composition; an episode scored in a batch of
+    one and inside a larger batch agrees within 1e-15, not bitwise (the
+    matmul kernels may sum in another order for another row count).
+    """
+    h = _encode(batch, cfg, params)
+    pooled, attention = _segment_pool(h, batch.starts, batch.lengths, cfg.pooling, params)
+    a1 = np.tanh(pooled @ params.w1.T + params.b1)
+    r = a1 @ params.w2[0] + params.b2[0]
+    return Activations(batch, h, attention, pooled, a1, r, cfg.pooling, params)
 
 
 def score(
-    episode: Episode,
-    criterion: Criterion,
-    cfg: ScorerConfig,
-    params: ScorerParams,
-    inputs: np.ndarray | None = None,
+    episode: Episode, criterion: Criterion, cfg: ScorerConfig, params: ScorerParams
 ) -> tuple[float, Activations]:
-    """Scalar reward for one episode under one criterion."""
-    check_shapes(cfg, params)
-    x = episode_input_matrix(episode, cfg) if inputs is None else inputs
-    h, mask = encode(episode, criterion, cfg, params, inputs=x)
-    w = _pool_weights(h, mask, cfg.pooling, params)
-    pooled = w @ h
-    a1 = np.tanh(params.w1 @ pooled + params.b1)
-    r = float((params.w2 @ a1)[0] + params.b2[0])
-    acts = Activations(
-        x=x,
-        h=h,
-        mask=mask,
-        pool_weights=w,
-        pooled=pooled,
-        a1=a1,
-        r=r,
-        criterion_index=criterion.index,
-        pooling=cfg.pooling,
-        params=params,
-    )
-    return r, acts
+    """Scalar reward for one episode under one criterion (a batch of one)."""
+    acts = score_batch(pack_episodes([episode], [criterion], cfg), cfg, params)
+    return float(acts.r[0]), acts
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +328,8 @@ def score(
 # ---------------------------------------------------------------------------
 
 
-def backward(acts: Activations, upstream: float, cfg: ScorerConfig, params: ScorerParams) -> ScorerParams:
-    """Exact gradients of (upstream * r) w.r.t. every parameter tensor.
+def backward_batch(acts: Activations, upstream: np.ndarray, cfg: ScorerConfig, params: ScorerParams) -> ScorerParams:
+    """Exact gradients of sum_i upstream[i] * r_i w.r.t. every parameter tensor.
 
     ``acts`` must come from a forward pass with the same params object and
     pooling mode; anything else raises STALE_CACHE rather than silently
@@ -286,40 +341,57 @@ def backward(acts: Activations, upstream: float, cfg: ScorerConfig, params: Scor
         raise StaleCacheError(
             f"activations were produced with {acts.pooling!r} pooling, config says {cfg.pooling!r}"
         )
-    g = zeros_like_params(params)
-    u = float(upstream)
+    u = np.asarray(upstream, dtype=np.float64)
+    batch, h = acts.batch, acts.h
+    starts, lengths = batch.starts, batch.lengths
 
     # Head: r = w2 tanh(w1 p + b1) + b2
-    g.b2[0] = u
-    g.w2[0, :] = u * acts.a1
-    da1 = u * params.w2[0]
-    du1 = da1 * (1.0 - acts.a1**2)
-    g.w1[...] = np.outer(du1, acts.pooled)
-    g.b1[...] = du1
-    dpooled = params.w1.T @ du1
+    du1 = np.outer(u, params.w2[0]) * (1.0 - acts.a1**2)
+    dpooled = du1 @ params.w1
+    g_q = np.zeros_like(params.q)
 
-    # Pooling: p = w @ H. For attention the weights also depend on H and q.
-    w = acts.pool_weights
-    dh = np.outer(w, dpooled)
-    if acts.pooling == "attention":
-        idx = np.flatnonzero(acts.mask)
-        scale = 1.0 / math.sqrt(acts.h.shape[1])
-        wm = w[idx]
-        dwm = acts.h[idx] @ dpooled
-        dz = wm * (dwm - float(wm @ dwm))
-        dh[idx] += np.outer(dz, params.q) * scale
-        g.q[...] = scale * (dz @ acts.h[idx])
+    # Pooling: each segment's upstream row is broadcast over its rows.
+    if acts.pooling == "last":
+        dh = np.zeros_like(h)
+        dh[starts + lengths - 1] = dpooled
+    elif acts.pooling == "mean":
+        dh = np.repeat(dpooled / lengths[:, None], lengths, axis=0)
+    else:
+        # p = sum_i w_i h_i with w = softmax(z), z_i = h_i . q / sqrt(d).
+        w = acts.attention
+        scale = 1.0 / math.sqrt(h.shape[1])
+        dh = np.repeat(dpooled, lengths, axis=0)
+        dw = np.einsum("ij,ij->i", h, dh)
+        dz = w * (dw - np.repeat(np.add.reduceat(w * dw, starts), lengths))
+        dh *= w[:, None]
+        dh += np.outer(dz, params.q) * scale
+        g_q = scale * (dz @ h)
 
-    # Criterion row passes through the encoder unchanged.
-    g.e_crit[acts.criterion_index] = dh[0]
+    # Criterion rows pass through the encoder unchanged.
+    g_crit = np.zeros_like(params.e_crit)
+    np.add.at(g_crit, batch.criteria, dh[starts])
 
-    # Body rows: h = tanh(w_enc x + b_enc)
-    if acts.h.shape[0] > 1:
-        hb = acts.h[1:]
-        dub = dh[1:] * (1.0 - hb**2)
-        g.w_enc[...] = dub.T @ acts.x
-        g.b_enc[...] = dub.sum(axis=0)
-    return g
+    # Body rows: h = tanh(w_enc x + b_enc). The derivative 1 - h^2 is
+    # formed in one buffer: this is the largest temporary of a step.
+    dtanh = np.square(h)
+    np.subtract(1.0, dtanh, out=dtanh)
+    dh *= dtanh
+    dh[starts] = 0.0
+    return ScorerParams(
+        w_enc=dh.T @ batch.x,
+        b_enc=dh.sum(axis=0),
+        e_crit=g_crit,
+        q=g_q,
+        w1=du1.T @ acts.pooled,
+        b1=du1.sum(axis=0),
+        w2=(u @ acts.a1)[None, :],
+        b2=np.array([u.sum()]),
+    )
+
+
+def backward(acts: Activations, upstream: float, cfg: ScorerConfig, params: ScorerParams) -> ScorerParams:
+    """Exact gradients of (upstream * r) for the batch of one from :func:`score`."""
+    return backward_batch(acts, np.full(acts.r.shape, float(upstream)), cfg, params)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +460,3 @@ def params_dot(a: ScorerParams, b: ScorerParams) -> float:
 def params_norm(a: ScorerParams) -> float:
     return math.sqrt(params_dot(a, a))
 
-
-def params_add(accum: ScorerParams, grad: ScorerParams, scale: float = 1.0) -> None:
-    """In-place accumulate: accum += scale * grad."""
-    for name in PARAM_FIELDS:
-        getattr(accum, name).__iadd__(scale * getattr(grad, name))

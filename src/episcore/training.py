@@ -10,14 +10,21 @@ invariant under a common shift of all scores, which is exactly why the
 second, centering term exists: it anchors the score scale near zero so
 domain shifts cannot drift the rewards without bound.
 
-Gradients flow through :func:`episcore.scorer.backward` with the per-pair
-upstreams
+A batch is scored in one ragged forward pass (:func:`episcore.scorer.score_batch`)
+and gradients flow back in one pass (:func:`episcore.scorer.backward_batch`)
+with the per-pair upstreams
 
     dL/dr+ = (1/n) * (-sigmoid(-(r+ - r-)) + 2 lambda (r+ + r-))
     dL/dr- = (1/n) * (+sigmoid(-(r+ - r-)) + 2 lambda (r+ + r-))
 
-and are verified against finite differences at the loss level in the test
-suite.
+which are verified against finite differences at the loss level in the
+test suite. The input rows of a pair set are packed once (:func:`pack_pairs`)
+and each step gathers its batch's rows by index.
+
+Determinism: the same params and the same batch composition give a
+bitwise-identical :class:`BatchLoss`, so a training run is bitwise
+reproducible from its seed. A pair scored in another batch composition
+agrees within 1e-15, not bitwise.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 from . import scorer
 from .episodes import PreferencePair
 from .errors import EmptyBatchError
-from .scorer import ScorerConfig, ScorerParams
+from .scorer import EpisodeBatch, ScorerConfig, ScorerParams
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -119,67 +126,72 @@ class BatchLoss:
     r_rejected: np.ndarray
 
 
+def pack_pairs(pairs: list[PreferencePair], cfg: ScorerConfig) -> EpisodeBatch:
+    """Pack the input rows of both sides of every pair into one batch:
+    the chosen sides in pair order, then the rejected sides."""
+    return scorer.pack_episodes(
+        [p.chosen for p in pairs] + [p.rejected for p in pairs], [p.criterion for p in pairs] * 2, cfg
+    )
+
+
+def take_pairs(packed: EpisodeBatch, index) -> EpisodeBatch:
+    """The pairs ``index`` of a :func:`pack_pairs` batch, in the same layout."""
+    index = np.asarray(index, dtype=np.intp)
+    return packed.take(np.concatenate([index, index + len(packed) // 2]))
+
+
+# Pairs per forward pass when scoring a whole pair set; bounds the memory
+# of the pass (a list of pairs is also packed one chunk at a time).
+SCORE_CHUNK = 32
+
+
 def score_pairs(
-    pairs: list[PreferencePair],
-    cfg: ScorerConfig,
-    params: ScorerParams,
-    inputs: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    pairs: list[PreferencePair] | EpisodeBatch, cfg: ScorerConfig, params: ScorerParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-only scoring of both sides of every pair."""
-    r_chosen = np.empty(len(pairs))
-    r_rejected = np.empty(len(pairs))
-    for i, pair in enumerate(pairs):
-        xc, xr = inputs[i] if inputs is not None else (None, None)
-        r_chosen[i], _ = scorer.score(pair.chosen, pair.criterion, cfg, params, inputs=xc)
-        r_rejected[i], _ = scorer.score(pair.rejected, pair.criterion, cfg, params, inputs=xr)
+    """Forward-only scoring of both sides of every pair, ``SCORE_CHUNK``
+    pairs per pass. ``pairs`` is a list or a :func:`pack_pairs` batch;
+    both give bitwise-identical scores."""
+    packed = isinstance(pairs, EpisodeBatch)
+    n = len(pairs) // 2 if packed else len(pairs)
+    r_chosen = np.empty(n)
+    r_rejected = np.empty(n)
+    for lo in range(0, n, SCORE_CHUNK):
+        hi = min(lo + SCORE_CHUNK, n)
+        chunk = take_pairs(pairs, np.arange(lo, hi)) if packed else pack_pairs(pairs[lo:hi], cfg)
+        r = scorer.score_batch(chunk, cfg, params).r
+        r_chosen[lo:hi] = r[: hi - lo]
+        r_rejected[lo:hi] = r[hi - lo :]
     return r_chosen, r_rejected
 
 
-def build_pair_inputs(pairs: list[PreferencePair], cfg: ScorerConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Precompute the input frame matrices once; they are parameter-free."""
-    return [
-        (scorer.episode_input_matrix(p.chosen, cfg), scorer.episode_input_matrix(p.rejected, cfg))
-        for p in pairs
-    ]
-
-
 def total_loss(
-    batch: list[PreferencePair],
+    batch: list[PreferencePair] | EpisodeBatch,
     cfg: ScorerConfig,
     params: ScorerParams,
     lambda_center: float = 1e-2,
-    inputs: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> BatchLoss:
     """Batch objective and its exact parameter gradients.
 
-    Both sides of a pair are scored in the same pass so the centering term
-    couples them pairwise, exactly as written above.
+    ``batch`` is a list of pairs or a :func:`pack_pairs` batch. Both sides
+    of every pair are scored in the same pass so the centering term couples
+    them pairwise, exactly as written above.
     """
-    if not batch:
+    if len(batch) == 0:
         raise EmptyBatchError("cannot compute a loss over an empty batch")
-    n = len(batch)
-    grads = scorer.zeros_like_params(params)
-    r_chosen = np.empty(n)
-    r_rejected = np.empty(n)
-    acts_c = []
-    acts_r = []
-    for i, pair in enumerate(batch):
-        xc, xr = inputs[i] if inputs is not None else (None, None)
-        r_chosen[i], ac = scorer.score(pair.chosen, pair.criterion, cfg, params, inputs=xc)
-        r_rejected[i], ar = scorer.score(pair.rejected, pair.criterion, cfg, params, inputs=xr)
-        acts_c.append(ac)
-        acts_r.append(ar)
+    if not isinstance(batch, EpisodeBatch):
+        batch = pack_pairs(batch, cfg)
+    n = len(batch) // 2
+    acts = scorer.score_batch(batch, cfg, params)
+    r_chosen, r_rejected = acts.r[:n], acts.r[n:]
     delta = r_chosen - r_rejected
     sig = _sigmoid(-delta)  # = 1 - sigmoid(delta), the miss probability
     ssum = r_chosen + r_rejected
     loss_pref = float(np.mean(bt_loss(r_chosen, r_rejected)))
     loss_center = float(np.mean(center_loss(r_chosen, r_rejected)))
     value = loss_pref + lambda_center * loss_center
-    for i, pair in enumerate(batch):
-        up_c = (-sig[i] + 2.0 * lambda_center * ssum[i]) / n
-        up_r = (sig[i] + 2.0 * lambda_center * ssum[i]) / n
-        scorer.params_add(grads, scorer.backward(acts_c[i], up_c, cfg, params))
-        scorer.params_add(grads, scorer.backward(acts_r[i], up_r, cfg, params))
+    up_c = (-sig + 2.0 * lambda_center * ssum) / n
+    up_r = (sig + 2.0 * lambda_center * ssum) / n
+    grads = scorer.backward_batch(acts, np.concatenate([up_c, up_r]), cfg, params)
     return BatchLoss(value, loss_pref, loss_center, grads, r_chosen, r_rejected)
 
 
@@ -230,12 +242,12 @@ def optimizer_step(
     grads: ScorerParams,
     state: AdamState,
     cfg: TrainConfig,
-    step: int,
+    lr: float,
 ) -> ScorerParams:
-    """One clipped AdamW update; returns new params, mutates ``state``."""
-    grads, _ = clip_gradients(grads, cfg.clip_norm)
+    """One AdamW update with learning rate ``lr`` on already clipped
+    gradients (see :func:`clip_gradients`); returns new params, mutates
+    ``state``."""
     state.t += 1
-    lr = lr_at_step(step, cfg)
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
     new = {}
@@ -266,14 +278,14 @@ class TrainResult:
 
 
 def evaluate_loss(
-    pairs: list[PreferencePair],
+    pairs: list[PreferencePair] | EpisodeBatch,
     cfg: ScorerConfig,
     params: ScorerParams,
     lambda_center: float,
-    inputs=None,
 ) -> tuple[float, float]:
-    """(total loss, pairwise accuracy) on a held-out set, forward only."""
-    rc, rr = score_pairs(pairs, cfg, params, inputs=inputs)
+    """(total loss, pairwise accuracy) on a held-out set, forward only;
+    ``pairs`` is a list or a :func:`pack_pairs` batch."""
+    rc, rr = score_pairs(pairs, cfg, params)
     loss = float(np.mean(bt_loss(rc, rr))) + lambda_center * float(np.mean(center_loss(rc, rr)))
     acc = float(np.mean(rc > rr))
     return loss, acc
@@ -305,8 +317,8 @@ def train(
     params = scorer.init_params(scorer_cfg, seed=int(init_ss.generate_state(1)[0]))
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_ss))
 
-    train_inputs = build_pair_inputs(pairs, scorer_cfg)
-    val_inputs = build_pair_inputs(val_pairs, scorer_cfg) if val_pairs else None
+    train_packed = pack_pairs(pairs, scorer_cfg)
+    val_packed = pack_pairs(val_pairs, scorer_cfg) if val_pairs else None
 
     state = AdamState.init(params)
     n = len(pairs)
@@ -329,12 +341,11 @@ def train(
             pos = 0
         idx = order[pos : pos + bs]
         pos += bs
-        batch = [pairs[i] for i in idx]
-        batch_inputs = [train_inputs[i] for i in idx]
 
-        result = total_loss(batch, scorer_cfg, params, cfg.lambda_center, inputs=batch_inputs)
-        _, preclip = clip_gradients(result.grads, cfg.clip_norm)
-        params = optimizer_step(params, result.grads, state, cfg, step)
+        result = total_loss(take_pairs(train_packed, idx), scorer_cfg, params, cfg.lambda_center)
+        grads, preclip = clip_gradients(result.grads, cfg.clip_norm)
+        lr = lr_at_step(step, cfg)
+        params = optimizer_step(params, grads, state, cfg, lr)
 
         report = StepReport(
             step=step,
@@ -342,14 +353,14 @@ def train(
             loss_center=result.loss_center,
             loss_total=result.loss_pref + cfg.lambda_center * result.loss_center,
             grad_norm_preclip=preclip,
-            lr=lr_at_step(step, cfg),
+            lr=lr,
             mean_chosen_r=float(result.r_chosen.mean()),
             mean_rejected_r=float(result.r_rejected.mean()),
             batch_margin=float((result.r_chosen - result.r_rejected).mean()),
         )
 
         if val_pairs and (step % cfg.eval_every == 0 or step == cfg.total_steps):
-            val_loss, val_acc = evaluate_loss(val_pairs, scorer_cfg, params, cfg.lambda_center, inputs=val_inputs)
+            val_loss, val_acc = evaluate_loss(val_packed, scorer_cfg, params, cfg.lambda_center)
             report.val_loss = val_loss
             report.val_accuracy = val_acc
             if val_loss < best_val:

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from episcore import Criterion, PreferencePair, Turn, read_pairs, validate_episode, write_pairs
 from episcore.episodes import (
@@ -15,7 +19,7 @@ from episcore.episodes import (
     read_features,
     write_features,
 )
-from episcore.errors import FeatureIOError, InvariantError, ManifestParseError
+from episcore.errors import DuplicateIdError, FeatureIOError, InvariantError, ManifestParseError
 
 from conftest import make_episode, make_pair, make_turn
 
@@ -209,3 +213,74 @@ class TestPairManifest:
         back = read_pairs(path)
         assert back[0].chosen.turns[0].start_s == 1.5
         assert back[0].chosen.turns[0].end_s == 6.5
+
+    def test_duplicate_pair_id_rejected_on_write(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        with pytest.raises(DuplicateIdError) as exc:
+            write_pairs([make_pair("p"), make_pair("q"), make_pair("p")], path)
+        assert exc.value.code == "DUPLICATE_ID"
+        assert not path.exists()
+
+    def test_duplicate_pair_id_rejected_on_read_with_line(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs([make_pair("p"), make_pair("q"), make_pair("r")], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[2])
+        rec["pair_id"] = "p"
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DuplicateIdError) as exc:
+            read_pairs(path)
+        assert exc.value.code == "DUPLICATE_ID"
+        assert exc.value.line == 3
+
+    def test_ids_that_differ_only_in_escaped_characters_keep_their_features(self, tmp_path):
+        ids = ["x/1", "x_1", "x%2F1", "x\\1", "x%5C1"]
+        pairs = []
+        for i, pid in enumerate(ids):
+            pair = make_pair(pid)
+            pair.chosen.turns[0].features[...] = float(i)
+            pairs.append(pair)
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(pairs, path)
+        assert read_pairs(path) == pairs
+        assert len(list((tmp_path / "pairs_features").iterdir())) == 4 * len(ids)
+
+    def test_plain_ids_keep_their_sidecar_names(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs([make_pair("pair-0_a.b")], path)
+        rec = json.loads(path.read_text(encoding="utf-8"))
+        assert rec["chosen"]["turns"][1]["features_path"] == "pairs_features/pair-0_a.b.chosen.01.f32"
+
+
+# Ids and transcripts mix path separators, the escape character, whitespace
+# and non-ASCII text, including strings that escape to each other's names.
+_ID_TEXT = st.text(alphabet=st.sampled_from(list("aZ0/_%\\.2F5C \t\né中😀")), max_size=10)
+
+
+def _with_lookalikes(ids: list[str]) -> list[str]:
+    """ids plus, for each, the ids a lossy sidecar naming could confuse it with."""
+    out = []
+    for pid in ids:
+        for alt in (pid, pid.replace("/", "_"), pid.replace("/", "%2F"), pid.replace("\\", "%5C")):
+            if alt not in out:
+                out.append(alt)
+    return out
+
+
+@given(
+    ids=st.lists(_ID_TEXT, min_size=1, max_size=3).map(_with_lookalikes),
+    transcripts=st.lists(_ID_TEXT, min_size=12, max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_manifest_round_trip_over_arbitrary_ids(ids, transcripts):
+    pairs = []
+    for i, pid in enumerate(ids):
+        pair = make_pair(pid)
+        pair.chosen.turns[0].transcript = transcripts[i]
+        pair.rejected.turns[1].features[...] = float(i)
+        pairs.append(pair)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.jsonl"
+        write_pairs(pairs, path)
+        assert read_pairs(path) == pairs

@@ -126,6 +126,23 @@ class TestGroupSegments:
         assert len(episodes) == 1
         assert episodes[0].n_turns == 2
 
+    def test_density_is_checked_after_the_odd_turn_is_dropped(self, tmp_path):
+        # All five turns: 28 s of speech over 125 s (0.224). Without the
+        # trailing turn: 8 s over 104.5 s (0.077), below the 0.1 floor.
+        manifest = seg_fixture(
+            tmp_path,
+            [("a", 0, 2), ("b", 2.5, 4.5), ("a", 100, 102), ("b", 102.5, 104.5), ("a", 105, 125)],
+        )
+        episodes = group_segments(manifest, GroupingConfig())
+        assert all(ep.total_speech_s / (ep.turns[-1].end_s - ep.turns[0].start_s) >= 0.1 for ep in episodes)
+        assert episodes == []
+
+    def test_dropped_trailing_turn_features_are_not_read(self, tmp_path):
+        manifest = seg_fixture(tmp_path, [("a", 0, 10), ("b", 10, 20)])
+        manifest.records.append(Segment("a", 20.0, 30.0, "gone", str(tmp_path / "gone.f32")))
+        episodes = group_segments(manifest, GroupingConfig())
+        assert [ep.n_turns for ep in episodes] == [2]
+
     def test_empty_manifest_raises(self):
         with pytest.raises(EmptyManifestError):
             group_segments(SegmentManifest([]), GroupingConfig())

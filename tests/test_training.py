@@ -187,7 +187,7 @@ class TestOptimizerStep:
         grads = sc.zeros_like_params(params)
         grads.b2[0] = 0.5
         state = AdamState.init(params)
-        new = optimizer_step(params, grads, state, train_cfg, step=5)
+        new = optimizer_step(params, grads, state, train_cfg, lr=lr_at_step(5, train_cfg))
         lr = lr_at_step(5, train_cfg)
         # bias-corrected first/second moments on step one equal the gradient
         expected = 1.0 - lr * (0.5 / (0.5 + 1e-8)) - lr * 0.1 * 1.0
@@ -200,7 +200,7 @@ class TestOptimizerStep:
         params.w1[0, 0] = 2.0
         grads = sc.zeros_like_params(params)  # zero gradient: only decay acts
         state = AdamState.init(params)
-        new = optimizer_step(params, grads, state, train_cfg, step=1)
+        new = optimizer_step(params, grads, state, train_cfg, lr=lr_at_step(1, train_cfg))
         assert new.w1[0, 0] == pytest.approx(2.0 * (1.0 - lr_at_step(1, train_cfg) * 0.5))
 
 
