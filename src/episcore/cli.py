@@ -21,14 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config as configio, evaluation, gradcheck, pipeline, scorer, training
-from .episodes import read_pairs, read_segments, write_episodes, write_pairs, read_episodes
+from .episodes import read_episodes, read_pairs, read_segments, write_episodes, write_jsonl, write_pairs
 from .errors import EmptySetError, EpiscoreError, ManifestParseError
 
 SEED_ENV_VAR = "EPISCORE_SEED"
-
-
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
 def _resolve(out_dir: str, path: str) -> Path:
@@ -36,22 +32,39 @@ def _resolve(out_dir: str, path: str) -> Path:
     return p if p.is_absolute() else Path(out_dir) / p
 
 
+def _write_json(path: Path, payload) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
 def _write_run_manifest(args: argparse.Namespace, out_dir: Path) -> None:
+    # Keys in sorted order at every level.
     record = {
-        "subcommand": args.subcommand,
         "config": {
             k: v for k, v in sorted(vars(args).items()) if k not in ("func", "subcommand") and v is not None
         },
+        "subcommand": args.subcommand,
         "versions": {
             "episcore": __version__,
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run-manifest.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "run-manifest.json", record)
+
+
+def _write_training(out_dir: Path, scorer_cfg: scorer.ScorerConfig, result: training.TrainResult) -> Path:
+    write_jsonl((dataclasses.asdict(report) for report in result.history), out_dir / "history.jsonl")
+    best_path = out_dir / "best.ckpt"
+    scorer.save_checkpoint(best_path, scorer_cfg, result.best_params)
+    return best_path
+
+
+def _write_report(out_dir: Path, scored: list[evaluation.ScoredPair]) -> evaluation.EvalReport:
+    report = evaluation.build_report(scored)
+    _write_json(out_dir / "report.json", report.to_dict())
+    (out_dir / "report.csv").write_text(evaluation.report_csv(report), encoding="utf-8")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +73,7 @@ def _write_run_manifest(args: argparse.Namespace, out_dir: Path) -> None:
 
 
 def cmd_synth(args) -> int:
-    entries = configio.parse_kv_file(args.config) if args.config else {}
-    if args.seed is not None:
-        entries["seed"] = str(args.seed)
-    cfg = configio.synth_config(entries)
+    (cfg,) = configio.load(args.config, pipeline.SynthConfig, seed=args.seed)
     pairs = pipeline.synth_pairs(cfg, args.n, split=args.split)
     out = _resolve(args.out_dir, args.out)
     write_pairs(pairs, out)
@@ -73,8 +83,7 @@ def cmd_synth(args) -> int:
 
 def cmd_pipeline_group(args) -> int:
     manifest = read_segments(args.manifest)
-    entries = configio.parse_kv_file(args.config) if args.config else {}
-    cfg = configio.grouping_config(entries)
+    (cfg,) = configio.load(args.config, pipeline.GroupingConfig)
     episodes = pipeline.group_segments(manifest, cfg, source_tier=args.tier)
     out = _resolve(args.out_dir, args.out)
     write_episodes(episodes, out)
@@ -88,12 +97,7 @@ def cmd_pipeline_filter(args) -> int:
     out = _resolve(args.out_dir, args.out)
     write_episodes(kept, out)
     rejects_path = _resolve(args.out_dir, args.rejects)
-    rejects_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        json.dumps({"episode_id": ep.episode_id, "violations": codes}, separators=(",", ":"))
-        for ep, codes in rejected
-    ]
-    rejects_path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(({"episode_id": ep.episode_id, "violations": codes} for ep, codes in rejected), rejects_path)
     print(f"kept {len(kept)}, rejected {len(rejected)} (codes in {rejects_path})")
     return 0
 
@@ -113,19 +117,12 @@ def cmd_pipeline_stratify(args) -> int:
 
 
 def cmd_train(args) -> int:
-    entries = configio.parse_kv_file(args.config) if args.config else {}
-    scorer_cfg = configio.scorer_config(entries)
-    train_cfg = configio.train_config(entries, seed=args.seed)
+    scorer_cfg, train_cfg = configio.load(args.config, scorer.ScorerConfig, training.TrainConfig, seed=args.seed)
     pairs = read_pairs(args.pairs)
     val_pairs = read_pairs(args.val) if args.val else []
     out_dir = Path(args.out_dir)
     result = training.train(pairs, val_pairs, scorer_cfg, train_cfg, checkpoint_dir=out_dir / "checkpoints")
-    history_path = out_dir / "history.jsonl"
-    with open(history_path, "w", encoding="utf-8") as fh:
-        for report in result.history:
-            fh.write(json.dumps(dataclasses.asdict(report), separators=(",", ":")) + "\n")
-    best_path = out_dir / "best.ckpt"
-    scorer.save_checkpoint(best_path, scorer_cfg, result.best_params)
+    best_path = _write_training(out_dir, scorer_cfg, result)
     print(
         f"trained {train_cfg.total_steps} steps; best val loss {result.best_val_loss:.6f} "
         f"at step {result.best_step}; checkpoint at {best_path}"
@@ -164,13 +161,8 @@ def cmd_eval(args) -> int:
                 raise ManifestParseError(
                     f"pair {s.pair_id}: subset {s.subset!r} does not match manifest tier {pair.source_tier!r}"
                 )
-    report = evaluation.build_report(scored)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    (out_dir / "report.csv").write_text(evaluation.report_csv(report), encoding="utf-8")
+    report = _write_report(out_dir, scored)
     print(
         f"evaluated {len(scored)} pairs: overall micro "
         f"{evaluation.format_percent(report.overall_micro)}%, reports in {out_dir}"
@@ -192,12 +184,11 @@ def cmd_agreement(args) -> int:
             )
     per_subset, overall = evaluation.agreement_stats(rows)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "rows": [dataclasses.asdict(r) for r in per_subset],
         "overall": dataclasses.asdict(overall),
     }
-    (out_dir / "agreement.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(out_dir / "agreement.json", payload)
     with open(out_dir / "agreement.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["subset", "count", "avg_margin", "agree_rate", "se"])
@@ -218,8 +209,7 @@ def cmd_gradcheck(args) -> int:
         corrupt_group=args.corrupt_group,
     )
     out = _resolve(args.out_dir, args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    _write_json(out, report.to_dict())
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"gradcheck {verdict}: max rel err {report.max_rel_err:.3e} "
@@ -230,7 +220,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_e2e(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     synth_cfg = pipeline.synth_config(d_in=args.d_in, seed=args.seed, noise_std=args.noise_std)
     train_pairs = pipeline.synth_pairs(synth_cfg, args.n_train, split="train")
     val_cfg = dataclasses.replace(synth_cfg, seed=synth_cfg.seed + 1)
@@ -245,17 +234,12 @@ def cmd_e2e(args) -> int:
         seed=args.seed,
     )
     result = training.train(train_pairs, val_pairs, scorer_cfg, train_cfg, checkpoint_dir=out_dir / "checkpoints")
-    with open(out_dir / "history.jsonl", "w", encoding="utf-8") as fh:
-        for report in result.history:
-            fh.write(json.dumps(dataclasses.asdict(report), separators=(",", ":")) + "\n")
-    scorer.save_checkpoint(out_dir / "best.ckpt", scorer_cfg, result.best_params)
+    _write_training(out_dir, scorer_cfg, result)
 
     rc, rr = training.score_pairs(val_pairs, scorer_cfg, result.best_params)
     scored = _scored_pairs(val_pairs, rc, rr)
     evaluation.write_scores(scored, out_dir / "val-scores.jsonl")
-    report = evaluation.build_report(scored)
-    (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-    (out_dir / "report.csv").write_text(evaluation.report_csv(report), encoding="utf-8")
+    _write_report(out_dir, scored)
 
     summary = {
         "seed": args.seed,
@@ -267,7 +251,7 @@ def cmd_e2e(args) -> int:
         "drift": float(np.mean(rc + rr)),
         "mean_margin": float(np.mean(rc - rr)),
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    _write_json(out_dir / "summary.json", summary)
     print(
         f"e2e done: val accuracy {summary['val_accuracy']:.4f}, "
         f"drift {summary['drift']:+.4f}, margin {summary['mean_margin']:.4f} (summary in {out_dir})"
@@ -286,7 +270,7 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
         parser.add_argument(
             "--seed",
             type=int,
-            default=None,
+            default=os.environ.get(SEED_ENV_VAR, "0"),  # a string default goes through type=int
             help=f"random seed (default: ${SEED_ENV_VAR} or 0)",
         )
 
@@ -330,14 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_pipeline_stratify)
 
-    p = pipe_sub.add_parser("synth", help="alias of the top-level synth subcommand")
-    p.add_argument("--config", help="flat key-value synthesis config file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="train", choices=("train", "val", "bench"))
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
-
     p = sub.add_parser("train", help="train the scorer on a pair manifest")
     p.add_argument("--pairs", required=True, help="training pair manifest")
     p.add_argument("--val", help="validation pair manifest")
@@ -374,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("e2e", help="synth -> train -> score -> eval in one seeded run")
     p.add_argument("--n-train", type=int, default=800)
     p.add_argument("--n-val", type=int, default=200)
-    p.add_argument("--steps", type=int, default=1200)
-    p.add_argument("--lambda-center", type=float, default=1e-2)
-    p.add_argument("--noise-std", type=float, default=0.25)
-    p.add_argument("--d-in", type=int, default=8)
-    p.add_argument("--pooling", default="mean", choices=scorer.POOLING_MODES)
+    p.add_argument("--steps", type=int, default=training.TrainConfig.total_steps)
+    p.add_argument("--lambda-center", type=float, default=training.TrainConfig.lambda_center)
+    p.add_argument("--noise-std", type=float, default=pipeline.SynthConfig.noise_std)
+    p.add_argument("--d-in", type=int, default=scorer.ScorerConfig.d_in)
+    p.add_argument("--pooling", default=scorer.ScorerConfig.pooling, choices=scorer.POOLING_MODES)
     _add_common(p)
     p.set_defaults(func=cmd_e2e)
 
@@ -388,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     out_dir = Path(getattr(args, "out_dir", "."))
     try:
         _write_run_manifest(args, out_dir)

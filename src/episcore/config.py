@@ -1,39 +1,34 @@
 """Flat key-value config files for the CLI.
 
 Format: one ``key = value`` per line, ``#`` comments, blank lines ignored.
-Vector values are comma-separated floats; ranges are ``lo,hi`` integer
-pairs; per-tier channel offsets use dotted keys, e.g.
+The keys are the fields of the config dataclasses a command builds
+(``SynthConfig`` for ``synth``, ``GroupingConfig`` for ``pipeline group``,
+``ScorerConfig`` plus ``TrainConfig`` for ``train``), and every default is
+the dataclass's own. Vector values are comma-separated floats; ranges are
+``lo,hi`` integer pairs; per-tier channel offsets use dotted keys, e.g.
 
     d_in = 8
     noise_std = 0.25
     signature = 0,0,0,0,0.5,0.5,0.5,0.5
     channel_offset.wild = 0.75,0,0,0,0,0,0,0
     turns = 2,6
+
+An unknown key, a malformed line or a bad value is a PARSE_ERROR with its
+line number. The seed is not a config key: it comes only from ``--seed``
+(or ``$EPISCORE_SEED``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ManifestParseError
-from .pipeline import GroupingConfig, SynthConfig, default_channel_offsets, default_signature
-from .scorer import ScorerConfig
-from .training import TrainConfig
 
-
-def parse_kv_file(path: str | Path) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ManifestParseError(f"expected 'key = value', got {raw!r}", line=lineno)
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
+CHANNEL_OFFSET_PREFIX = "channel_offset."
 
 
 def _floats(value: str) -> np.ndarray:
@@ -49,58 +44,54 @@ def _int_range(value: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
-def grouping_config(entries: dict[str, str]) -> GroupingConfig:
-    cfg = GroupingConfig()
-    return GroupingConfig(
-        min_interval_s=float(entries.get("min_interval_s", cfg.min_interval_s)),
-        min_overlap_ratio=float(entries.get("min_overlap_ratio", cfg.min_overlap_ratio)),
-        max_group_duration_s=float(entries.get("max_group_duration_s", cfg.max_group_duration_s)),
-        max_secondary_speaker_frac=float(
-            entries.get("max_secondary_speaker_frac", cfg.max_secondary_speaker_frac)
-        ),
-    )
+# Field type -> value parser. ``np.ndarray | None`` is a vector whose None
+# default __post_init__ fills in (SynthConfig.signature).
+_PARSERS = {int: int, float: float, str: str, tuple[int, int]: _int_range, np.ndarray | None: _floats}
 
 
-def synth_config(entries: dict[str, str]) -> SynthConfig:
-    d_in = int(entries.get("d_in", 8))
-    signature = _floats(entries["signature"]) if "signature" in entries else default_signature(d_in)
-    offsets = {}
-    for key, value in entries.items():
-        if key.startswith("channel_offset."):
-            offsets[key.split(".", 1)[1]] = _floats(value)
-    if not offsets:
-        offsets = default_channel_offsets(d_in)
-    return SynthConfig(
-        d_in=d_in,
-        signature=signature,
-        channel_offsets=offsets,
-        noise_std=float(entries.get("noise_std", 0.25)),
-        frames_per_turn=_int_range(entries.get("frames_per_turn", "4,8")),
-        turns=_int_range(entries.get("turns", "2,6")),
-        seed=int(entries.get("seed", 0)),
-    )
+def load(path: str | Path | None, *classes: type, **fixed) -> tuple:
+    """Build one instance of each config dataclass from a ``key = value`` file.
 
-
-def scorer_config(entries: dict[str, str]) -> ScorerConfig:
-    return ScorerConfig(
-        d_in=int(entries.get("d_in", 8)),
-        d=int(entries.get("d", 16)),
-        pooling=entries.get("pooling", "mean"),
-        head_hidden=int(entries.get("head_hidden", 16)),
-        max_frames_per_turn=int(entries.get("max_frames_per_turn", 60)),
-    )
-
-
-def train_config(entries: dict[str, str], seed: int | None = None) -> TrainConfig:
-    base = TrainConfig()
-    return TrainConfig(
-        total_steps=int(entries.get("total_steps", base.total_steps)),
-        lambda_center=float(entries.get("lambda_center", base.lambda_center)),
-        peak_lr=float(entries.get("peak_lr", base.peak_lr)),
-        weight_decay=float(entries.get("weight_decay", base.weight_decay)),
-        warmup_frac=float(entries.get("warmup_frac", base.warmup_frac)),
-        clip_norm=float(entries.get("clip_norm", base.clip_norm)),
-        batch_size=int(entries.get("batch_size", base.batch_size)),
-        seed=int(entries["seed"]) if "seed" in entries else (seed if seed is not None else base.seed),
-        eval_every=int(entries.get("eval_every", base.eval_every)),
-    )
+    Each key is parsed by the type of the field it names and goes to every
+    requested class that has that field; a ``channel_offset.<tier>`` key
+    fills ``channel_offsets``. ``fixed`` values (the command-line seed) go
+    to the classes that have the field and may not appear in the file. With
+    no ``path``, every class gets its defaults plus ``fixed``.
+    """
+    hints = {}
+    for cls in classes:
+        hints.update(typing.get_type_hints(cls))
+    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    values: dict = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ManifestParseError(f"expected 'key = value', got {raw!r}", line=lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in fixed:
+            raise ManifestParseError(
+                f"{key!r} cannot be set in a config file; pass --{key.replace('_', '-')}", line=lineno
+            )
+        offsets = key.startswith(CHANNEL_OFFSET_PREFIX) and "channel_offsets" in hints
+        parse = _floats if offsets else _PARSERS.get(hints.get(key))
+        if parse is None:
+            raise ManifestParseError(f"unknown config key {key!r}", line=lineno)
+        try:
+            parsed = parse(value)
+        except ValueError as exc:
+            raise ManifestParseError(f"bad value for {key!r}: {exc}", line=lineno) from exc
+        if offsets:
+            values.setdefault("channel_offsets", {})[key[len(CHANNEL_OFFSET_PREFIX) :]] = parsed
+        else:
+            values[key] = parsed
+    values.update(fixed)
+    configs = []
+    for cls in classes:
+        names = {f.name for f in dataclasses.fields(cls)}
+        try:
+            configs.append(cls(**{k: v for k, v in values.items() if k in names}))
+        except ValueError as exc:
+            raise ManifestParseError(f"{cls.__name__}: {exc}") from exc
+    return tuple(configs)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -143,16 +144,9 @@ class PreferencePair:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise ValueError(f"unknown split {self.split!r}, expected one of {SPLITS}")
-        if self.chosen.n_turns != self.rejected.n_turns:
-            raise ValueError(
-                f"pair {self.pair_id}: turn counts differ "
-                f"({self.chosen.n_turns} vs {self.rejected.n_turns})"
-            )
-        if self.chosen.source_tier != self.rejected.source_tier:
-            raise ValueError(
-                f"pair {self.pair_id}: source tiers differ "
-                f"({self.chosen.source_tier} vs {self.rejected.source_tier})"
-            )
+        codes = validate_pair(self.chosen, self.rejected)
+        if codes:
+            raise ValueError(f"pair {self.pair_id}: {', '.join(codes)}")
 
     @property
     def source_tier(self) -> str:
@@ -222,12 +216,13 @@ def _alternates_two_speakers(turns: list[Turn]) -> bool:
     return all(t.speaker_id == (a if i % 2 == 0 else b) for i, t in enumerate(turns))
 
 
-def validate_pair(pair_record_chosen: Episode, pair_record_rejected: Episode) -> list[str]:
-    """Pair-level violations on top of the per-episode ones."""
+def validate_pair(chosen: Episode, rejected: Episode) -> list[str]:
+    """Pair-level violations on top of the per-episode ones: both sides
+    must have the same turn count and source tier."""
     codes = []
-    if pair_record_chosen.n_turns != pair_record_rejected.n_turns:
+    if chosen.n_turns != rejected.n_turns:
         codes.append(TURN_COUNT_MISMATCH)
-    if pair_record_chosen.source_tier != pair_record_rejected.source_tier:
+    if chosen.source_tier != rejected.source_tier:
         codes.append(TIER_MISMATCH)
     return codes
 
@@ -275,6 +270,38 @@ def read_features(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
+    """Write one compact JSON object per line, keys in the order given."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [json.dumps(rec, ensure_ascii=False, separators=(",", ":")) + "\n" for rec in records]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line; a line that
+    is not a JSON object raises PARSE_ERROR with its line number."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                rec = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ManifestParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            if not isinstance(rec, dict):
+                raise ManifestParseError("expected a JSON object", line=lineno)
+            yield lineno, rec
+
+
+def _claim_id(seen: set[str], owner_id: str, kind: str, line: int | None = None) -> None:
+    """Add an id to ``seen``; raise DUPLICATE_ID if it is already there."""
+    if owner_id in seen:
+        raise DuplicateIdError(f"duplicate {kind} {owner_id!r}", line=line)
+    seen.add(owner_id)
+
+
 def _features_dir_for(path: Path) -> Path:
     return path.parent / (path.stem + "_features")
 
@@ -300,7 +327,8 @@ def _turn_record(turn: Turn, features_path: str) -> dict:
     return rec
 
 
-def _episode_record(ep: Episode, manifest_path: Path, features_dir: Path, owner_prefix: str) -> dict:
+def _episode_record(ep: Episode, manifest_path: Path, owner_prefix: str) -> dict:
+    features_dir = _features_dir_for(manifest_path)
     turns = []
     for i, turn in enumerate(ep.turns):
         rel = Path(features_dir.name) / _sidecar_name(owner_prefix, i)
@@ -355,26 +383,24 @@ def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
     output. Raises DUPLICATE_ID, before writing anything, when two pairs
     share a pair_id.
     """
-    seen = set()
+    seen: set[str] = set()
     for pair in pairs:
-        if pair.pair_id in seen:
-            raise DuplicateIdError(f"duplicate pair_id {pair.pair_id!r}")
-        seen.add(pair.pair_id)
+        _claim_id(seen, pair.pair_id, "pair_id")
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    features_dir = _features_dir_for(path)
-    lines = []
-    for pair in pairs:
-        rec = {
-            "pair_id": pair.pair_id,
-            "criterion": pair.criterion.value,
-            "split": pair.split,
-            "source_tier": pair.source_tier,
-            "chosen": _episode_record(pair.chosen, path, features_dir, f"{pair.pair_id}.chosen"),
-            "rejected": _episode_record(pair.rejected, path, features_dir, f"{pair.pair_id}.rejected"),
-        }
-        lines.append(json.dumps(rec, ensure_ascii=False, separators=(",", ":")))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(
+        (
+            {
+                "pair_id": pair.pair_id,
+                "criterion": pair.criterion.value,
+                "split": pair.split,
+                "source_tier": pair.source_tier,
+                "chosen": _episode_record(pair.chosen, path, f"{pair.pair_id}.chosen"),
+                "rejected": _episode_record(pair.rejected, path, f"{pair.pair_id}.rejected"),
+            }
+            for pair in pairs
+        ),
+        path,
+    )
 
 
 def read_pairs(path: str | Path) -> list[PreferencePair]:
@@ -386,64 +412,54 @@ def read_pairs(path: str | Path) -> list[PreferencePair]:
     :class:`InvariantError` (with the violation codes) for records whose
     episodes fail validation or whose sides disagree on turn count or tier.
     """
-    path = Path(path)
-    base_dir = path.parent
+    base_dir = Path(path).parent
     pairs = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ManifestParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            try:
-                pair_id = str(rec["pair_id"])
-                criterion = Criterion(rec["criterion"])
-                split = str(rec["split"])
-                source_tier = str(rec["source_tier"])
-                chosen_rec = rec["chosen"]
-                rejected_rec = rec["rejected"]
-            except KeyError as exc:
-                raise ManifestParseError(f"pair record missing key {exc}", line=lineno) from exc
-            except ValueError as exc:
-                raise ManifestParseError(f"bad pair record: {exc}", line=lineno) from exc
-            if pair_id in seen:
-                raise DuplicateIdError(f"duplicate pair_id {pair_id!r}", line=lineno)
-            seen.add(pair_id)
-            if split not in SPLITS:
-                raise ManifestParseError(f"unknown split {split!r}", line=lineno)
-            if source_tier not in SOURCE_TIERS:
-                raise ManifestParseError(f"unknown source_tier {source_tier!r}", line=lineno)
-            chosen = _parse_episode(chosen_rec, base_dir, lineno, source_tier)
-            rejected = _parse_episode(rejected_rec, base_dir, lineno, source_tier)
-            codes = validate_episode(chosen) + validate_episode(rejected)
-            codes += validate_pair(chosen, rejected)
-            if codes:
-                raise InvariantError(sorted(set(codes)), message=f"pair {pair_id}", line=lineno)
-            pairs.append(PreferencePair(pair_id, chosen, rejected, criterion, split))
+    seen: set[str] = set()
+    for lineno, rec in read_jsonl(path):
+        try:
+            pair_id = str(rec["pair_id"])
+            criterion = Criterion(rec["criterion"])
+            split = str(rec["split"])
+            source_tier = str(rec["source_tier"])
+            chosen_rec = rec["chosen"]
+            rejected_rec = rec["rejected"]
+        except KeyError as exc:
+            raise ManifestParseError(f"pair record missing key {exc}", line=lineno) from exc
+        except ValueError as exc:
+            raise ManifestParseError(f"bad pair record: {exc}", line=lineno) from exc
+        _claim_id(seen, pair_id, "pair_id", lineno)
+        if split not in SPLITS:
+            raise ManifestParseError(f"unknown split {split!r}", line=lineno)
+        if source_tier not in SOURCE_TIERS:
+            raise ManifestParseError(f"unknown source_tier {source_tier!r}", line=lineno)
+        chosen = _parse_episode(chosen_rec, base_dir, lineno, source_tier)
+        rejected = _parse_episode(rejected_rec, base_dir, lineno, source_tier)
+        codes = validate_episode(chosen) + validate_episode(rejected)
+        codes += validate_pair(chosen, rejected)
+        if codes:
+            raise InvariantError(sorted(set(codes)), message=f"pair {pair_id}", line=lineno)
+        pairs.append(PreferencePair(pair_id, chosen, rejected, criterion, split))
     return pairs
 
 
 def write_episodes(episodes: list[Episode], path: str | Path) -> None:
-    """Write an episode manifest (pipeline intermediate) plus sidecars."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    features_dir = _features_dir_for(path)
-    lines = []
+    """Write an episode manifest (pipeline intermediate) plus sidecars.
+
+    Raises DUPLICATE_ID, before writing anything, when two episodes share
+    an episode_id.
+    """
+    seen: set[str] = set()
     for ep in episodes:
-        rec = {"source_tier": ep.source_tier}
-        rec.update(_episode_record(ep, path, features_dir, ep.episode_id))
-        ordered = {
-            "episode_id": rec["episode_id"],
-            "source_tier": rec["source_tier"],
-            "metadata": rec["metadata"],
-            "turns": rec["turns"],
-        }
-        lines.append(json.dumps(ordered, ensure_ascii=False, separators=(",", ":")))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        _claim_id(seen, ep.episode_id, "episode_id")
+    path = Path(path)
+    # Record keys: episode_id, source_tier, metadata, turns.
+    write_jsonl(
+        (
+            {"episode_id": ep.episode_id, "source_tier": ep.source_tier, **_episode_record(ep, path, ep.episode_id)}
+            for ep in episodes
+        ),
+        path,
+    )
 
 
 def read_episodes(path: str | Path) -> list[Episode]:
@@ -451,57 +467,34 @@ def read_episodes(path: str | Path) -> list[Episode]:
 
     Episode files are pipeline intermediates, so invalid episodes must be
     representable here; run :func:`validate_episode` (or the structural
-    filter) downstream.
+    filter) downstream. An episode_id seen on an earlier line raises
+    DUPLICATE_ID with the line number.
     """
-    path = Path(path)
+    base_dir = Path(path).parent
     episodes = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ManifestParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            tier = str(rec.get("source_tier", ""))
-            if tier not in SOURCE_TIERS:
-                raise ManifestParseError(f"unknown source_tier {tier!r}", line=lineno)
-            episodes.append(_parse_episode(rec, path.parent, lineno, tier))
+    seen: set[str] = set()
+    for lineno, rec in read_jsonl(path):
+        tier = str(rec.get("source_tier", ""))
+        if tier not in SOURCE_TIERS:
+            raise ManifestParseError(f"unknown source_tier {tier!r}", line=lineno)
+        ep = _parse_episode(rec, base_dir, lineno, tier)
+        _claim_id(seen, ep.episode_id, "episode_id", lineno)
+        episodes.append(ep)
     return episodes
 
 
 def write_segments(manifest: SegmentManifest, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for seg in manifest.records:
-        rec = {
-            "speaker_id": seg.speaker_id,
-            "start_s": seg.start_s,
-            "end_s": seg.end_s,
-            "transcript": seg.transcript,
-            "features_path": seg.features_path,
-        }
-        lines.append(json.dumps(rec, ensure_ascii=False, separators=(",", ":")))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl((asdict(seg) for seg in manifest.records), path)
 
 
 def read_segments(path: str | Path) -> SegmentManifest:
     """Read a raw segment manifest; feature paths resolve against it."""
     path = Path(path)
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ManifestParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            try:
-                seg = Segment(
+    for lineno, rec in read_jsonl(path):
+        try:
+            records.append(
+                Segment(
                     speaker_id=str(rec["speaker_id"]),
                     start_s=float(rec["start_s"]),
                     end_s=float(rec["end_s"]),
@@ -510,11 +503,11 @@ def read_segments(path: str | Path) -> SegmentManifest:
                     if not Path(rec["features_path"]).is_absolute()
                     else str(rec["features_path"]),
                 )
-            except KeyError as exc:
-                raise ManifestParseError(f"segment record missing key {exc}", line=lineno) from exc
-            except ValueError as exc:
-                raise ManifestParseError(f"bad segment record: {exc}", line=lineno) from exc
-            records.append(seg)
+            )
+        except KeyError as exc:
+            raise ManifestParseError(f"segment record missing key {exc}", line=lineno) from exc
+        except ValueError as exc:
+            raise ManifestParseError(f"bad segment record: {exc}", line=lineno) from exc
     try:
         return SegmentManifest(records)
     except ValueError as exc:

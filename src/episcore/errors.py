@@ -52,6 +52,13 @@ class FeatureIOError(EpiscoreError):
     code = "FEATURE_IO"
 
 
+class CheckpointError(EpiscoreError, ValueError):
+    """A checkpoint file that cannot be read or parsed: truncated, an
+    unknown version or pooling code, bad dimensions, or trailing bytes."""
+
+    code = "BAD_CHECKPOINT"
+
+
 class JudgeUnavailableError(EpiscoreError):
     code = "JUDGE_UNAVAILABLE"
 

@@ -10,7 +10,7 @@ not divide by zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -77,14 +77,6 @@ class GroupResult:
     worst_mode: str = ""
     worst_index: int = -1
 
-    def to_dict(self) -> dict:
-        return {
-            "max_rel_err": self.max_rel_err,
-            "worst_draw": self.worst_draw,
-            "worst_mode": self.worst_mode,
-            "worst_index": self.worst_index,
-        }
-
 
 @dataclass
 class GradcheckReport:
@@ -110,7 +102,7 @@ class GradcheckReport:
             "modes": list(self.modes),
             "max_rel_err": self.max_rel_err,
             "worst_group": self.worst_group,
-            "groups": {name: g.to_dict() for name, g in self.groups.items()},
+            "groups": {name: asdict(g) for name, g in self.groups.items()},
         }
 
 
@@ -134,13 +126,7 @@ def run_gradcheck(
         cfg, params, episode, criterion = random_case(rng)
         batch = scorer.pack_episodes([episode], [criterion], cfg)
         for mode in modes:
-            mode_cfg = ScorerConfig(
-                d_in=cfg.d_in,
-                d=cfg.d,
-                pooling=mode,
-                head_hidden=cfg.head_hidden,
-                max_frames_per_turn=cfg.max_frames_per_turn,
-            )
+            mode_cfg = replace(cfg, pooling=mode)
             acts = scorer.score_batch(batch, mode_cfg, params)
             analytic = scorer.backward_batch(acts, np.ones(1), mode_cfg, params)
             if corrupt_group is not None:

@@ -79,24 +79,12 @@ Judge = Callable[[PreferencePair], JudgeScores]
 # ---------------------------------------------------------------------------
 
 
-def _secondary_fraction(segments: list[Segment]) -> float:
-    by_speaker: dict[str, float] = {}
-    for seg in segments:
-        by_speaker[seg.speaker_id] = by_speaker.get(seg.speaker_id, 0.0) + seg.duration_s
+def _secondary_fraction(by_speaker: dict[str, float]) -> float:
     if len(by_speaker) <= 2:
         return 0.0
     durations = sorted(by_speaker.values(), reverse=True)
     total = sum(durations)
     return (total - durations[0] - durations[1]) / total
-
-
-def _dominant_two(segments: list[Segment]) -> list[Segment]:
-    by_speaker: dict[str, float] = {}
-    for seg in segments:
-        by_speaker[seg.speaker_id] = by_speaker.get(seg.speaker_id, 0.0) + seg.duration_s
-    top = sorted(by_speaker, key=lambda s: (-by_speaker[s], s))[:2]
-    keep = set(top)
-    return [seg for seg in segments if seg.speaker_id in keep]
 
 
 def group_segments(
@@ -116,34 +104,37 @@ def group_segments(
     if not manifest.records:
         raise EmptyManifestError("segment manifest has no records")
 
-    groups: list[list[Segment]] = []
+    # Each group carries its speaker -> speech-time tally, summed in segment
+    # order, so the cut test and the dominant-speaker choice share one count.
+    groups: list[tuple[list[Segment], dict[str, float]]] = []
     cur: list[Segment] = []
+    tally: dict[str, float] = {}
     cur_speech = 0.0
     for seg in manifest.records:
         if seg.duration_s > cfg.max_group_duration_s:
             if cur:
-                groups.append(cur)
-            cur, cur_speech = [], 0.0
+                groups.append((cur, tally))
+            cur, tally, cur_speech = [], {}, 0.0
             continue
-        if cur:
-            gap = seg.start_s - cur[-1].end_s
-            cut = (
-                gap < cfg.min_interval_s
-                or cur_speech + seg.duration_s > cfg.max_group_duration_s
-                or _secondary_fraction(cur + [seg]) > cfg.max_secondary_speaker_frac
-            )
-            if cut:
-                groups.append(cur)
-                cur, cur_speech = [], 0.0
+        grown = {**tally, seg.speaker_id: tally.get(seg.speaker_id, 0.0) + seg.duration_s}
+        if cur and (
+            seg.start_s - cur[-1].end_s < cfg.min_interval_s
+            or cur_speech + seg.duration_s > cfg.max_group_duration_s
+            or _secondary_fraction(grown) > cfg.max_secondary_speaker_frac
+        ):
+            groups.append((cur, tally))
+            cur, grown, cur_speech = [], {seg.speaker_id: seg.duration_s}, 0.0
         cur.append(seg)
+        tally = grown
         cur_speech += seg.duration_s
     if cur:
-        groups.append(cur)
+        groups.append((cur, tally))
 
     episodes = []
     counter = 0
-    for group in groups:
-        kept = _dominant_two(group)
+    for group, tally in groups:
+        top = set(sorted(tally, key=lambda s: (-tally[s], s))[:2])
+        kept = [seg for seg in group if seg.speaker_id in top]
         if len(kept) % 2 != 0:
             kept = kept[:-1]  # repair: drop the trailing turn
         if len(kept) < 2:
@@ -314,7 +305,7 @@ _SYNTH_PRIMARY = ("neutral", "happiness", "surprise")
 @dataclass
 class SynthConfig:
     d_in: int = 8
-    signature: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5]))
+    signature: np.ndarray | None = None  # default_signature(d_in)
     channel_offsets: dict[str, np.ndarray] = field(default_factory=dict)
     noise_std: float = 0.25
     frames_per_turn: tuple[int, int] = (4, 8)
@@ -323,6 +314,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.signature is None:
+            self.signature = default_signature(self.d_in)
         self.signature = np.asarray(self.signature, dtype=np.float64)
         if self.signature.shape != (self.d_in,):
             raise ValueError(f"signature must have shape ({self.d_in},), got {self.signature.shape}")
@@ -375,7 +368,6 @@ def synth_config(d_in: int = 8, seed: int = 0, noise_std: float = 0.25, signatur
     return SynthConfig(
         d_in=d_in,
         signature=default_signature(d_in, signature_scale),
-        channel_offsets=default_channel_offsets(d_in),
         noise_std=noise_std,
         seed=seed,
     )

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .episodes import Criterion, Episode
-from .errors import AllMaskedError, ShapeMismatchError, StaleCacheError
+from .errors import AllMaskedError, CheckpointError, ShapeMismatchError, StaleCacheError
 
 POOLING_MODES = ("last", "mean", "attention")
 _POOLING_CODE = {"last": 0, "mean": 1, "attention": 2}
@@ -55,20 +55,17 @@ TOKEN_EMBED_SEED = 0x70CEA5
 
 @dataclass
 class ScorerConfig:
-    d_in: int
+    d_in: int = 8
     d: int = 16
     pooling: str = "mean"
     head_hidden: int = 16
     max_frames_per_turn: int = 60
-    activation: str = "tanh"  # fixed; recorded for the contract, not a knob
 
     def __post_init__(self):
         if min(self.d_in, self.d, self.head_hidden, self.max_frames_per_turn) < 1:
             raise ValueError("all scorer dimensions must be >= 1")
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"unknown pooling {self.pooling!r}, expected one of {POOLING_MODES}")
-        if self.activation != "tanh":
-            raise ValueError("the activation is fixed to tanh")
 
 
 # Field order doubles as the tensor order in checkpoints and gradients.
@@ -144,18 +141,14 @@ def tokenize(text: str) -> list[str]:
 
 
 @lru_cache(maxsize=1 << 16)
-def _token_vector_cached(token: str, d_in: int) -> np.ndarray:
+def token_embedding(token: str, d_in: int) -> np.ndarray:
+    """Deterministic hash embedding of one token into R^d_in (cached, read-only)."""
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     key = int.from_bytes(digest, "little")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([TOKEN_EMBED_SEED, key, d_in])))
     vec = rng.standard_normal(d_in)
     vec.setflags(write=False)
     return vec
-
-
-def token_embedding(token: str, d_in: int) -> np.ndarray:
-    """Deterministic hash embedding of one token into R^d_in."""
-    return _token_vector_cached(token, d_in)
 
 
 def _input_row_count(episode: Episode, cfg: ScorerConfig) -> int:
@@ -416,17 +409,25 @@ def save_checkpoint(path: str | Path, cfg: ScorerConfig, params: ScorerParams) -
 
 def load_checkpoint(path: str | Path) -> tuple[ScorerConfig, ScorerParams]:
     """Load a checkpoint; max_frames_per_turn is not serialized and keeps
-    its default."""
+    its default. Every malformed file raises BAD_CHECKPOINT."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if len(raw) < _HEADER.size:
-        raise ValueError(f"checkpoint {path} is truncated (no header)")
+        raise CheckpointError(f"checkpoint {path} is truncated (no header)")
     version, d_in, d, head_hidden, pool_code = _HEADER.unpack_from(raw)
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version}")
     if pool_code not in _POOLING_FROM_CODE:
-        raise ValueError(f"unknown pooling code {pool_code}")
-    cfg = ScorerConfig(d_in=int(d_in), d=int(d), pooling=_POOLING_FROM_CODE[pool_code], head_hidden=int(head_hidden))
+        raise CheckpointError(f"unknown pooling code {pool_code}")
+    try:
+        cfg = ScorerConfig(
+            d_in=int(d_in), d=int(d), pooling=_POOLING_FROM_CODE[pool_code], head_hidden=int(head_hidden)
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     shapes = param_shapes(cfg)
     offset = _HEADER.size
     fields = {}
@@ -435,11 +436,11 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerConfig, ScorerParams]:
         count = int(np.prod(shape))
         end = offset + count * 8
         if end > len(raw):
-            raise ValueError(f"checkpoint {path} is truncated in tensor {name}")
+            raise CheckpointError(f"checkpoint {path} is truncated in tensor {name}")
         fields[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         offset = end
     if offset != len(raw):
-        raise ValueError(f"checkpoint {path} has {len(raw) - offset} trailing bytes")
+        raise CheckpointError(f"checkpoint {path} has {len(raw) - offset} trailing bytes")
     return cfg, ScorerParams(**fields)
 
 

@@ -65,13 +65,6 @@ class TrainConfig:
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
 
-    @classmethod
-    def large_backbone(cls, **overrides) -> "TrainConfig":
-        """Preset with the peak learning rate used for billion-parameter
-        backbones (2e-5); the desk-scale scorer needs the larger default."""
-        overrides.setdefault("peak_lr", 2e-5)
-        return cls(**overrides)
-
 
 @dataclass
 class StepReport:

@@ -42,10 +42,6 @@ class TestSynthCommand:
         manifest = json.loads((tmp_path / "run-manifest.json").read_text())
         assert manifest["config"]["seed"] == 7
 
-    def test_pipeline_synth_alias(self, tmp_path):
-        assert run("pipeline", "synth", "--n", 4, "--out", "p.jsonl", "--out-dir", tmp_path) == 0
-        assert len(read_pairs(tmp_path / "p.jsonl")) == 4
-
 
 class TestPipelineCommands:
     def test_group_filter_stratify_flow(self, tmp_path):
@@ -95,6 +91,13 @@ class TestPipelineCommands:
 
 
 class TestTrainScoreEval:
+    def test_truncated_checkpoint_fails_with_code(self, synth_manifest, tmp_path, capsys):
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(bytes(20))
+        argv = ["--pairs", synth_manifest, "--checkpoint", ckpt, "--out", "s.jsonl", "--out-dir", tmp_path]
+        assert run("score", *argv) == 1
+        assert "error[BAD_CHECKPOINT]" in capsys.readouterr().err
+
     def test_full_cycle(self, tmp_path):
         train_dir = tmp_path / "run"
         assert run("synth", "--n", 64, "--out", "train.jsonl", "--out-dir", tmp_path, "--seed", 0) == 0
@@ -268,3 +271,34 @@ class TestConfigFiles:
         cfg.write_text("d_in 8\n")
         assert run("synth", "--config", cfg, "--n", 2, "--out", "p.jsonl", "--out-dir", tmp_path) == 1
         assert "PARSE_ERROR" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_seed_key_is_rejected_in_favour_of_the_flag(self, tmp_path, capsys, command):
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text("d_in = 8\nseed = 7\n")
+        args = ["--n", 4, "--out", "p.jsonl"] if command == "synth" else ["--pairs", tmp_path / "none.jsonl"]
+        assert run(command, "--config", cfg, *args, "--out-dir", tmp_path, "--seed", 0) == 1
+        err = capsys.readouterr().err
+        assert "error[PARSE_ERROR]: line 2:" in err and "--seed" in err
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("d_in = 8\ntotal_step = 5\n", "line 2: unknown config key 'total_step'"),
+            ("# scorer\npoolling = attention\n", "line 2: unknown config key 'poolling'"),
+            ("d = 8\nd_in = abc\n", "line 2: bad value for 'd_in'"),
+            ("pooling = attn\n", "ScorerConfig: unknown pooling 'attn'"),
+        ],
+    )
+    def test_bad_train_config_exits_with_parse_error(self, tmp_path, capsys, text, needle):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(text)
+        assert run("train", "--pairs", tmp_path / "none.jsonl", "--config", cfg, "--out-dir", tmp_path) == 1
+        assert f"error[PARSE_ERROR]: {needle}" in capsys.readouterr().err
+
+    def test_words_per_turn_is_a_synth_key(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("words_per_turn = 0,0\n")
+        assert run("synth", "--config", cfg, "--n", 3, "--out", "p.jsonl", "--out-dir", tmp_path) == 0
+        assert all(t.transcript == "" for p in read_pairs(tmp_path / "p.jsonl") for t in p.chosen.turns)

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from episcore import Criterion, PreferencePair, Turn, read_pairs, validate_episode, write_pairs
+from episcore import (
+    Criterion,
+    PreferencePair,
+    Turn,
+    read_episodes,
+    read_pairs,
+    validate_episode,
+    write_episodes,
+    write_pairs,
+)
 from episcore.episodes import (
     NONFINITE_FEATURE,
     ODD_TURNS,
@@ -233,6 +242,29 @@ class TestPairManifest:
             read_pairs(path)
         assert exc.value.code == "DUPLICATE_ID"
         assert exc.value.line == 3
+
+    def test_non_object_line_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs([make_pair("p")], path)
+        path.write_text(path.read_text(encoding="utf-8") + "[1, 2]\n", encoding="utf-8")
+        with pytest.raises(ManifestParseError) as exc:
+            read_pairs(path)
+        assert exc.value.line == 2
+
+    def test_duplicate_episode_id_rejected_on_write_and_read(self, tmp_path):
+        first, second = make_episode(2, episode_id="e"), make_episode(2, episode_id="e")
+        first.turns[0].features[...] = 1.0
+        second.turns[0].features[...] = 2.0
+        path = tmp_path / "episodes.jsonl"
+        with pytest.raises(DuplicateIdError):
+            write_episodes([first, second], path)
+        assert not path.exists() and not (tmp_path / "episodes_features").exists()
+        write_episodes([first], path)
+        line = path.read_text(encoding="utf-8")
+        path.write_text(line + line, encoding="utf-8")
+        with pytest.raises(DuplicateIdError) as exc:
+            read_episodes(path)
+        assert exc.value.line == 2
 
     def test_ids_that_differ_only_in_escaped_characters_keep_their_features(self, tmp_path):
         ids = ["x/1", "x_1", "x%2F1", "x\\1", "x%5C1"]

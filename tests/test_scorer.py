@@ -3,7 +3,7 @@ import pytest
 
 import episcore.scorer as sc
 from episcore import Criterion, Episode, ScorerConfig, Turn, encode, init_params, pool, score
-from episcore.errors import AllMaskedError, ShapeMismatchError
+from episcore.errors import AllMaskedError, CheckpointError, ShapeMismatchError
 from episcore.scorer import load_checkpoint, save_checkpoint, zeros_like_params
 
 from conftest import make_episode, make_turn
@@ -185,6 +185,26 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: raw[:20],  # truncated header
+            lambda raw: raw[:-8],  # truncated tensor
+            lambda raw: bytes([99]) + raw[1:],  # version
+            lambda raw: raw[:32] + bytes([7]) + raw[33:],  # pooling code
+            lambda raw: raw[:8] + bytes(8) + raw[16:],  # d_in = 0
+            lambda raw: raw + bytes(8),  # trailing bytes
+        ],
+    )
+    def test_malformed_checkpoint_raises_coded_error(self, tmp_path, corrupt):
+        cfg = ScorerConfig(d_in=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, init_params(cfg, seed=0))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert exc.value.code == "BAD_CHECKPOINT"
 
     def test_bad_version_rejected(self, tmp_path):
         cfg = ScorerConfig(d_in=5)

@@ -269,10 +269,6 @@ class TestTrainLoop:
         assert moving[-1] < moving[0]
         assert losses[-100:].mean() < losses[:100].mean()
 
-    def test_large_backbone_preset_uses_reference_peak_lr(self):
-        assert TrainConfig.large_backbone().peak_lr == 2e-5
-        assert TrainConfig.large_backbone(total_steps=7).total_steps == 7
-
     def test_empty_train_set_raises(self):
         with pytest.raises(EmptyBatchError):
             train([], [], ScorerConfig(d_in=8), TrainConfig(total_steps=5))
