@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config as configio, evaluation, gradcheck, pipeline, scorer, training
-from .episodes import read_episodes, read_pairs, read_segments, write_episodes, write_jsonl, write_pairs
+from .episodes import (
+    read_episodes, read_pair_tiers, read_pairs, read_segments, write_episodes, write_jsonl, write_pairs
+)
 from .errors import EmptySetError, EpiscoreError, ManifestParseError
 
 SEED_ENV_VAR = "EPISCORE_SEED"
@@ -152,14 +154,14 @@ def cmd_eval(args) -> int:
     if not scored:
         raise EmptySetError(f"score file {args.scores} is empty")
     if args.pairs:
-        by_id = {p.pair_id: p for p in read_pairs(args.pairs)}
+        tiers = read_pair_tiers(args.pairs)
         for s in scored:
-            pair = by_id.get(s.pair_id)
-            if pair is None:
+            tier = tiers.get(s.pair_id)
+            if tier is None:
                 raise ManifestParseError(f"scored pair {s.pair_id} not present in {args.pairs}")
-            if pair.source_tier != s.subset:
+            if tier != s.subset:
                 raise ManifestParseError(
-                    f"pair {s.pair_id}: subset {s.subset!r} does not match manifest tier {pair.source_tier!r}"
+                    f"pair {s.pair_id}: subset {s.subset!r} does not match manifest tier {tier!r}"
                 )
     out_dir = Path(args.out_dir)
     report = _write_report(out_dir, scored)
@@ -173,15 +175,16 @@ def cmd_eval(args) -> int:
 def cmd_agreement(args) -> int:
     rows = []
     with open(args.rows, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                (
-                    rec["subset"],
-                    int(rec["count"]),
-                    float(rec["avg_margin"]),
-                    float(rec["agree_rate"]),
-                )
-            )
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            try:
+                row = (rec["subset"], int(rec["count"]), float(rec["avg_margin"]), float(rec["agree_rate"]))
+                evaluation.AgreementRow(*row)  # range checks
+            except KeyError as exc:
+                raise ManifestParseError(f"{args.rows}: missing column {exc}", line=reader.line_num) from exc
+            except (TypeError, ValueError) as exc:
+                raise ManifestParseError(f"{args.rows}: bad row: {exc}", line=reader.line_num) from exc
+            rows.append(row)
     per_subset, overall = evaluation.agreement_stats(rows)
     out_dir = Path(args.out_dir)
     payload = {
@@ -370,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except EpiscoreError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error[IO_ERROR]: {exc}", file=sys.stderr)
         return 1
 
 

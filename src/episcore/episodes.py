@@ -403,6 +403,30 @@ def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
     )
 
 
+def _pair_headers(path: str | Path) -> Iterator[tuple[int, dict, str, Criterion, str, str]]:
+    """Yield (line number, record, pair_id, criterion, split, source_tier)
+    for each record of a pair manifest whose keys and header values are
+    valid; a pair_id seen on an earlier line raises DUPLICATE_ID."""
+    seen: set[str] = set()
+    for lineno, rec in read_jsonl(path):
+        try:
+            pair_id = str(rec["pair_id"])
+            criterion = Criterion(rec["criterion"])
+            split = str(rec["split"])
+            source_tier = str(rec["source_tier"])
+            rec["chosen"], rec["rejected"]  # both sides must be present
+        except KeyError as exc:
+            raise ManifestParseError(f"pair record missing key {exc}", line=lineno) from exc
+        except ValueError as exc:
+            raise ManifestParseError(f"bad pair record: {exc}", line=lineno) from exc
+        _claim_id(seen, pair_id, "pair_id", lineno)
+        if split not in SPLITS:
+            raise ManifestParseError(f"unknown split {split!r}", line=lineno)
+        if source_tier not in SOURCE_TIERS:
+            raise ManifestParseError(f"unknown source_tier {source_tier!r}", line=lineno)
+        yield lineno, rec, pair_id, criterion, split, source_tier
+
+
 def read_pairs(path: str | Path) -> list[PreferencePair]:
     """Read a pair manifest, rejecting records that violate invariants.
 
@@ -414,32 +438,22 @@ def read_pairs(path: str | Path) -> list[PreferencePair]:
     """
     base_dir = Path(path).parent
     pairs = []
-    seen: set[str] = set()
-    for lineno, rec in read_jsonl(path):
-        try:
-            pair_id = str(rec["pair_id"])
-            criterion = Criterion(rec["criterion"])
-            split = str(rec["split"])
-            source_tier = str(rec["source_tier"])
-            chosen_rec = rec["chosen"]
-            rejected_rec = rec["rejected"]
-        except KeyError as exc:
-            raise ManifestParseError(f"pair record missing key {exc}", line=lineno) from exc
-        except ValueError as exc:
-            raise ManifestParseError(f"bad pair record: {exc}", line=lineno) from exc
-        _claim_id(seen, pair_id, "pair_id", lineno)
-        if split not in SPLITS:
-            raise ManifestParseError(f"unknown split {split!r}", line=lineno)
-        if source_tier not in SOURCE_TIERS:
-            raise ManifestParseError(f"unknown source_tier {source_tier!r}", line=lineno)
-        chosen = _parse_episode(chosen_rec, base_dir, lineno, source_tier)
-        rejected = _parse_episode(rejected_rec, base_dir, lineno, source_tier)
+    for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(path):
+        chosen = _parse_episode(rec["chosen"], base_dir, lineno, source_tier)
+        rejected = _parse_episode(rec["rejected"], base_dir, lineno, source_tier)
         codes = validate_episode(chosen) + validate_episode(rejected)
         codes += validate_pair(chosen, rejected)
         if codes:
             raise InvariantError(sorted(set(codes)), message=f"pair {pair_id}", line=lineno)
         pairs.append(PreferencePair(pair_id, chosen, rejected, criterion, split))
     return pairs
+
+
+def read_pair_tiers(path: str | Path) -> dict[str, str]:
+    """pair_id -> source_tier of a pair manifest, from the JSONL alone: each
+    record's header is checked as in :func:`read_pairs`, but no feature
+    sidecar is read and no episode is validated."""
+    return {pair_id: source_tier for _, _, pair_id, _, _, source_tier in _pair_headers(path)}
 
 
 def write_episodes(episodes: list[Episode], path: str | Path) -> None:

@@ -24,6 +24,9 @@ parameter tensor, which the test suite verifies against central finite
 differences. :func:`score` and :func:`backward` are the same code on a
 batch of one.
 
+Parameters and gradients each live in one float64 vector whose named
+tensors are views of it (:class:`ScorerParams`).
+
 All arithmetic is float64 for clean gradient checks. Determinism: the
 same params and the same batch composition (the same episodes, criteria
 and order) give bitwise-identical rewards and gradients. The same episode
@@ -72,18 +75,30 @@ class ScorerConfig:
 PARAM_FIELDS = ("w_enc", "b_enc", "e_crit", "q", "w1", "b1", "w2", "b2")
 
 
-@dataclass(eq=False)
 class ScorerParams:
-    """All learnable tensors. The same container holds gradients."""
+    """All learnable tensors, stored as one contiguous float64 vector.
 
-    w_enc: np.ndarray  # (d, d_in) frame encoder weight
-    b_enc: np.ndarray  # (d,)      frame encoder bias
-    e_crit: np.ndarray  # (2, d)   criterion embeddings
-    q: np.ndarray      # (d,)      attention-pooling query
-    w1: np.ndarray     # (head_hidden, d)
-    b1: np.ndarray     # (head_hidden,)
-    w2: np.ndarray     # (1, head_hidden)
-    b2: np.ndarray     # (1,)
+    ``flat`` holds every parameter. Each name of ``PARAM_FIELDS`` is an
+    attribute that is a view of its slice of ``flat``, in that order,
+    row-major, with its shape from ``shapes`` (:func:`param_shapes`), so
+    writing through a view (``p.w1[...] = x``, ``p.w2 *= 2``) writes
+    ``flat``; rebinding an attribute would not. ``flat`` is the body of a
+    checkpoint. The same container holds gradients.
+    """
+
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        self.flat = flat
+        self.shapes = shapes
+        offset = 0
+        for name in PARAM_FIELDS:
+            end = offset + math.prod(shapes[name])
+            setattr(self, name, flat[offset:end].reshape(shapes[name]))
+            offset = end
+        if offset != flat.size:
+            raise ShapeMismatchError(f"flat params have {flat.size} entries, the shapes need {offset}")
+
+    def like(self, flat: np.ndarray) -> "ScorerParams":
+        return ScorerParams(flat, self.shapes)
 
     def tensors(self):
         return [(name, getattr(self, name)) for name in PARAM_FIELDS]
@@ -91,37 +106,39 @@ class ScorerParams:
 
 def param_shapes(cfg: ScorerConfig) -> dict[str, tuple[int, ...]]:
     return {
-        "w_enc": (cfg.d, cfg.d_in),
-        "b_enc": (cfg.d,),
-        "e_crit": (2, cfg.d),
-        "q": (cfg.d,),
-        "w1": (cfg.head_hidden, cfg.d),
+        "w_enc": (cfg.d, cfg.d_in),  # frame encoder weight
+        "b_enc": (cfg.d,),  # frame encoder bias
+        "e_crit": (2, cfg.d),  # criterion embeddings
+        "q": (cfg.d,),  # attention-pooling query
+        "w1": (cfg.head_hidden, cfg.d),  # head
         "b1": (cfg.head_hidden,),
         "w2": (1, cfg.head_hidden),
         "b2": (1,),
     }
 
 
+def _param_count(shapes: dict[str, tuple[int, ...]]) -> int:
+    return sum(math.prod(shape) for shape in shapes.values())
+
+
 def init_params(cfg: ScorerConfig, seed: int = 0) -> ScorerParams:
     rng = np.random.default_rng(seed)
-    return ScorerParams(
-        w_enc=rng.standard_normal((cfg.d, cfg.d_in)) / math.sqrt(cfg.d_in),
-        b_enc=np.zeros(cfg.d),
-        e_crit=0.1 * rng.standard_normal((2, cfg.d)),
-        q=0.1 * rng.standard_normal(cfg.d),
-        w1=rng.standard_normal((cfg.head_hidden, cfg.d)) / math.sqrt(cfg.d),
-        b1=np.zeros(cfg.head_hidden),
-        w2=rng.standard_normal((1, cfg.head_hidden)) / math.sqrt(cfg.head_hidden),
-        b2=np.zeros(1),
-    )
+    shapes = param_shapes(cfg)
+    p = ScorerParams(np.zeros(_param_count(shapes)), shapes)
+    p.w_enc[...] = rng.standard_normal((cfg.d, cfg.d_in)) / math.sqrt(cfg.d_in)
+    p.e_crit[...] = 0.1 * rng.standard_normal((2, cfg.d))
+    p.q[...] = 0.1 * rng.standard_normal(cfg.d)
+    p.w1[...] = rng.standard_normal((cfg.head_hidden, cfg.d)) / math.sqrt(cfg.d)
+    p.w2[...] = rng.standard_normal((1, cfg.head_hidden)) / math.sqrt(cfg.head_hidden)
+    return p
 
 
 def zeros_like_params(params: ScorerParams) -> ScorerParams:
-    return ScorerParams(**{name: np.zeros_like(t) for name, t in params.tensors()})
+    return params.like(np.zeros_like(params.flat))
 
 
 def clone_params(params: ScorerParams) -> ScorerParams:
-    return ScorerParams(**{name: t.copy() for name, t in params.tensors()})
+    return params.like(params.flat.copy())
 
 
 def check_shapes(cfg: ScorerConfig, params: ScorerParams) -> None:
@@ -338,10 +355,15 @@ def backward_batch(acts: Activations, upstream: np.ndarray, cfg: ScorerConfig, p
     batch, h = acts.batch, acts.h
     starts, lengths = batch.starts, batch.lengths
 
+    grads = zeros_like_params(params)
+
     # Head: r = w2 tanh(w1 p + b1) + b2
     du1 = np.outer(u, params.w2[0]) * (1.0 - acts.a1**2)
     dpooled = du1 @ params.w1
-    g_q = np.zeros_like(params.q)
+    grads.w1[...] = du1.T @ acts.pooled
+    grads.b1[...] = du1.sum(axis=0)
+    grads.w2[0] = u @ acts.a1
+    grads.b2[0] = u.sum()
 
     # Pooling: each segment's upstream row is broadcast over its rows.
     if acts.pooling == "last":
@@ -358,11 +380,10 @@ def backward_batch(acts: Activations, upstream: np.ndarray, cfg: ScorerConfig, p
         dz = w * (dw - np.repeat(np.add.reduceat(w * dw, starts), lengths))
         dh *= w[:, None]
         dh += np.outer(dz, params.q) * scale
-        g_q = scale * (dz @ h)
+        grads.q[...] = scale * (dz @ h)
 
     # Criterion rows pass through the encoder unchanged.
-    g_crit = np.zeros_like(params.e_crit)
-    np.add.at(g_crit, batch.criteria, dh[starts])
+    np.add.at(grads.e_crit, batch.criteria, dh[starts])
 
     # Body rows: h = tanh(w_enc x + b_enc). The derivative 1 - h^2 is
     # formed in one buffer: this is the largest temporary of a step.
@@ -370,16 +391,9 @@ def backward_batch(acts: Activations, upstream: np.ndarray, cfg: ScorerConfig, p
     np.subtract(1.0, dtanh, out=dtanh)
     dh *= dtanh
     dh[starts] = 0.0
-    return ScorerParams(
-        w_enc=dh.T @ batch.x,
-        b_enc=dh.sum(axis=0),
-        e_crit=g_crit,
-        q=g_q,
-        w1=du1.T @ acts.pooled,
-        b1=du1.sum(axis=0),
-        w2=(u @ acts.a1)[None, :],
-        b2=np.array([u.sum()]),
-    )
+    grads.w_enc[...] = dh.T @ batch.x
+    grads.b_enc[...] = dh.sum(axis=0)
+    return grads
 
 
 def backward(acts: Activations, upstream: float, cfg: ScorerConfig, params: ScorerParams) -> ScorerParams:
@@ -389,8 +403,8 @@ def backward(acts: Activations, upstream: float, cfg: ScorerConfig, params: Scor
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: 5 little-endian uint64 header fields
-# (version, d_in, d, head_hidden, pooling code), then the parameter
-# tensors in declared order as little-endian float64, row-major.
+# (version, d_in, d, head_hidden, pooling code), then ScorerParams.flat
+# (every tensor in PARAM_FIELDS order, row-major) as little-endian float64.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_VERSION = 1
@@ -403,8 +417,7 @@ def save_checkpoint(path: str | Path, cfg: ScorerConfig, params: ScorerParams) -
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(CHECKPOINT_VERSION, cfg.d_in, cfg.d, cfg.head_hidden, _POOLING_CODE[cfg.pooling]))
-        for _, tensor in params.tensors():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ScorerConfig, ScorerParams]:
@@ -429,35 +442,18 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerConfig, ScorerParams]:
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     shapes = param_shapes(cfg)
-    offset = _HEADER.size
-    fields = {}
-    for name in PARAM_FIELDS:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        end = offset + count * 8
-        if end > len(raw):
-            raise CheckpointError(f"checkpoint {path} is truncated in tensor {name}")
-        fields[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset = end
-    if offset != len(raw):
-        raise CheckpointError(f"checkpoint {path} has {len(raw) - offset} trailing bytes")
-    return cfg, ScorerParams(**fields)
-
-
-# Convenience arithmetic over parameter containers (used by the optimizer).
-
-
-def params_map(fn, *trees: ScorerParams) -> ScorerParams:
-    out = {}
-    for name in PARAM_FIELDS:
-        out[name] = fn(*[getattr(t, name) for t in trees])
-    return ScorerParams(**out)
+    size = _HEADER.size + 8 * _param_count(shapes)
+    if len(raw) != size:
+        raise CheckpointError(f"checkpoint {path} has {len(raw)} bytes, its header dimensions need {size}")
+    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).astype(np.float64)
+    return cfg, ScorerParams(flat, shapes)
 
 
 def params_dot(a: ScorerParams, b: ScorerParams) -> float:
+    # Summed tensor by tensor, not as one vdot over ``flat``: the order of
+    # the sum fixes the clip norm to the last bit.
     return float(sum(np.vdot(getattr(a, n), getattr(b, n)) for n in PARAM_FIELDS))
 
 
 def params_norm(a: ScorerParams) -> float:
     return math.sqrt(params_dot(a, a))
-

@@ -214,47 +214,34 @@ def clip_gradients(grads: ScorerParams, clip_norm: float) -> tuple[ScorerParams,
     """Scale grads to global L2 norm <= clip_norm; direction is unchanged."""
     norm = scorer.params_norm(grads)
     if norm > clip_norm:
-        scale = clip_norm / norm
-        return scorer.params_map(lambda g: g * scale, grads), norm
+        return grads.like(grads.flat * (clip_norm / norm)), norm
     return grads, norm
 
 
 @dataclass
 class AdamState:
-    m: ScorerParams
-    v: ScorerParams
+    m: np.ndarray  # first moment, laid out like ScorerParams.flat
+    v: np.ndarray  # second moment
     t: int = 0
 
     @classmethod
     def init(cls, params: ScorerParams) -> "AdamState":
-        return cls(m=scorer.zeros_like_params(params), v=scorer.zeros_like_params(params))
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def optimizer_step(
-    params: ScorerParams,
-    grads: ScorerParams,
-    state: AdamState,
-    cfg: TrainConfig,
-    lr: float,
+    params: ScorerParams, grads: ScorerParams, state: AdamState, cfg: TrainConfig, lr: float
 ) -> ScorerParams:
     """One AdamW update with learning rate ``lr`` on already clipped
-    gradients (see :func:`clip_gradients`); returns new params, mutates
-    ``state``."""
+    gradients (see :func:`clip_gradients`), elementwise over the flat
+    parameter vector; returns new params, mutates ``state``."""
     state.t += 1
-    bc1 = 1.0 - ADAM_BETA1**state.t
-    bc2 = 1.0 - ADAM_BETA2**state.t
-    new = {}
-    for name in scorer.PARAM_FIELDS:
-        g = getattr(grads, name)
-        m = getattr(state.m, name)
-        v = getattr(state.v, name)
-        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        theta = getattr(params, name)
-        new[name] = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - lr * cfg.weight_decay * theta
-    return ScorerParams(**new)
+    g, theta = grads.flat, params.flat
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    return params.like(theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - lr * cfg.weight_decay * theta)
 
 
 # ---------------------------------------------------------------------------

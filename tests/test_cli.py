@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -182,6 +183,62 @@ class TestTrainScoreEval:
         assert got == pytest.approx(want, abs=0.015)  # double rounding: raw counts vs rounded scorecard
 
 
+class TestEvalPairs:
+    """`eval --pairs` cross-checks ids and subsets against the manifest JSONL."""
+
+    def _write_scores(self, manifest, edit=lambda rows: rows):
+        from episcore import ScoredPair
+        from episcore.evaluation import write_scores
+
+        rows = [(p.pair_id, p.source_tier, p.criterion.value) for p in read_pairs(manifest)]
+        path = manifest.parent / "scores.jsonl"
+        write_scores([ScoredPair(i, 1.0, 0.0, tier, crit) for i, tier, crit in edit(rows)], path)
+        return path
+
+    def test_reads_no_feature_sidecars(self, synth_manifest, tmp_path):
+        scores = self._write_scores(synth_manifest)
+        shutil.rmtree(synth_manifest.parent / "pairs_features")
+        assert run("eval", "--scores", scores, "--pairs", synth_manifest, "--out-dir", tmp_path / "e") == 0
+        assert json.loads((tmp_path / "e" / "report.json").read_text())["counts"]
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (lambda rows: rows + [("ghost", "wild", "modality")], "error[PARSE_ERROR]: scored pair ghost not present"),
+            (lambda rows: [(i, "scripted" if t == "wild" else "wild", c) for i, t, c in rows], "does not match"),
+        ],
+        ids=["unknown_id", "tier_mismatch"],
+    )
+    def test_score_manifest_mismatch_fails(self, synth_manifest, tmp_path, capsys, edit, needle):
+        scores = self._write_scores(synth_manifest, edit)
+        assert run("eval", "--scores", scores, "--pairs", synth_manifest, "--out-dir", tmp_path) == 1
+        assert needle in capsys.readouterr().err
+
+    def test_duplicate_manifest_id_fails(self, synth_manifest, tmp_path, capsys):
+        scores = self._write_scores(synth_manifest)
+        lines = synth_manifest.read_text().splitlines(keepends=True)
+        synth_manifest.write_text("".join(lines + lines[:1]))
+        assert run("eval", "--scores", scores, "--pairs", synth_manifest, "--out-dir", tmp_path) == 1
+        assert f"error[DUPLICATE_ID]: line {len(lines) + 1}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--pairs", "{missing}", "--checkpoint", "{missing}", "--out", "s.jsonl"],
+        ["synth", "--config", "{missing}", "--n", "4", "--out", "p.jsonl"],
+        ["eval", "--scores", "{missing}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_input_file_exits_with_io_error(tmp_path, capsys, argv):
+    missing = tmp_path / "nope"
+    argv = [a.format(missing=missing) for a in argv]
+    assert run(*argv, "--out-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[IO_ERROR]: ") and str(missing) in err
+
+
 class TestAgreementCommand:
     def test_reference_table(self, tmp_path):
         rows = tmp_path / "rows.csv"
@@ -197,6 +254,21 @@ class TestAgreementCommand:
         assert payload["overall"]["agree_rate"] == pytest.approx(0.835, abs=0.001)
         assert payload["overall"]["se"] == pytest.approx(0.043, abs=0.001)
         assert len(payload["rows"]) == 4
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("subset,count,avg_margin,agree_rate\nlow,20,0.06,0.783\nhigh,abc,1.0,0.5\n", 3),
+            ("subset,count,avg_margin,agree_rate\nhigh,0,1.0,0.5\n", 2),
+            ("subset,count,avg_margin\nhigh,20,1.0\n", 2),
+        ],
+        ids=["non_integer_count", "zero_count", "missing_column"],
+    )
+    def test_bad_rows_fail_with_parse_error(self, tmp_path, capsys, text, line):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(text)
+        assert run("agreement", "--rows", rows, "--out-dir", tmp_path) == 1
+        assert f"error[PARSE_ERROR]: line {line}: " in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

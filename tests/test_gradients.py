@@ -78,6 +78,20 @@ def test_gradcheck_harness_detects_corruption():
     assert report.worst_group == "w1"
 
 
+def test_gradcheck_fails_a_nan_gradient(monkeypatch):
+    backward_batch = sc.backward_batch
+
+    def nan_in_q(*args):
+        grads = backward_batch(*args)
+        grads.q[1] = np.nan
+        return grads
+
+    monkeypatch.setattr(sc, "backward_batch", nan_in_q)
+    report = run_gradcheck(n_draws=1, seed=7)
+    assert not report.passed
+    assert report.worst_group == "q" and report.groups["q"].worst_index == 1
+
+
 def test_gradcheck_smoke_passes():
     report = run_gradcheck(n_draws=5, seed=7)
     assert report.passed

@@ -164,7 +164,7 @@ class TestClipping:
 
     def test_direction_preserved(self):
         cfg = ScorerConfig(d_in=4)
-        grads = sc.params_map(lambda t: t + 0.0, init_params(cfg, seed=2))
+        grads = sc.clone_params(init_params(cfg, seed=2))
         clipped, preclip = clip_gradients(grads, 0.5)
         cos = sc.params_dot(clipped, grads) / (sc.params_norm(clipped) * sc.params_norm(grads))
         assert cos == pytest.approx(1.0, rel=0, abs=1e-12)
