@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 
 from episcore import ScorerConfig, TrainConfig, synth_config, synth_pairs, train
-from episcore.training import score_pairs
+from episcore.training import pair_chunks, score_pairs
 
 synth = synth_config(seed=11)
 train_pairs = synth_pairs(synth, 800, split="train")
@@ -23,7 +23,7 @@ print(f"{'lambda':>8} {'val acc':>8} {'margin':>8} {'drift':>8} {'|r+| mean':>10
 for lam in (0.0, 1e-2):
     cfg = TrainConfig(total_steps=1200, lambda_center=lam, seed=0)
     result = train(train_pairs, val_pairs, scorer_cfg, cfg)
-    rc, rr = score_pairs(val_pairs, scorer_cfg, result.best_params)
+    rc, rr = score_pairs(pair_chunks(val_pairs, scorer_cfg), scorer_cfg, result.best_params)
     print(
         f"{lam:8.0e} {np.mean(rc > rr):8.4f} {np.mean(rc - rr):8.3f} "
         f"{np.mean(rc + rr):+8.3f} {np.mean(rc):10.3f} {np.mean(rr):10.3f}"

@@ -4,9 +4,11 @@ Walks through the core objects: turns with frame matrices, an episode,
 the scorer config/params, and the three pooling modes.
 """
 
+import dataclasses
+
 import numpy as np
 
-from episcore import Criterion, Episode, ScorerConfig, Turn, encode, init_params, pool, score
+from episcore import Criterion, Episode, ScorerConfig, Turn, init_params, score
 
 rng = np.random.default_rng(0)
 d_in = 8
@@ -25,13 +27,14 @@ cfg = ScorerConfig(d_in=d_in, d=16, head_hidden=16, pooling="mean")
 params = init_params(cfg, seed=42)
 
 # The encoded sequence: criterion row + per-turn (text tokens, audio frames).
-h, mask = encode(episode, Criterion.MODALITY, cfg, params)
+# score() returns the reward and the Activations of its forward pass.
+h = score(episode, Criterion.MODALITY, cfg, params)[1].h
 n_tokens = sum(len(t.transcript.split()) for t in episode.turns)
 n_frames = sum(t.features.shape[0] for t in episode.turns)
 print(f"sequence length L = {h.shape[0]} (1 criterion row + {n_tokens} tokens + {n_frames} frames)")
 
 for mode in ("last", "mean", "attention"):
-    pooled = pool(h, mask, mode, params)
+    pooled = score(episode, Criterion.MODALITY, dataclasses.replace(cfg, pooling=mode), params)[1].pooled[0]
     print(f"{mode:>9} pooling -> first pooled dims {np.round(pooled[:3], 4)}")
 
 for criterion in (Criterion.MODALITY, Criterion.COLLOQUIALNESS):
@@ -40,6 +43,6 @@ for criterion in (Criterion.MODALITY, Criterion.COLLOQUIALNESS):
 
 # Conditioning is a single prepended embedding row, so swapping the
 # criterion changes row 0 of H and nothing else.
-h_mod, _ = encode(episode, Criterion.MODALITY, cfg, params)
-h_col, _ = encode(episode, Criterion.COLLOQUIALNESS, cfg, params)
+h_mod = score(episode, Criterion.MODALITY, cfg, params)[1].h
+h_col = score(episode, Criterion.COLLOQUIALNESS, cfg, params)[1].h
 print("rows that differ between criteria:", int((h_mod != h_col).any(axis=1).sum()))

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 
 from episcore import ScorerConfig, TrainConfig, synth_config, synth_pairs, train
-from episcore.training import score_pairs
+from episcore.training import pair_chunks, score_pairs
 
 synth = synth_config(seed=0, noise_std=0.25)
 train_pairs = synth_pairs(synth, 1000, split="train")
@@ -29,6 +29,6 @@ for report in result.history[::100]:
         f"batch margin {report.batch_margin:+.3f}  lr {report.lr:.2e}"
     )
 
-rc, rr = score_pairs(val_pairs, scorer_cfg, result.best_params)
+rc, rr = score_pairs(pair_chunks(val_pairs, scorer_cfg), scorer_cfg, result.best_params)
 print(f"held-out pairwise accuracy: {np.mean(rc > rr):.4f}")
 print(f"mean margin: {np.mean(rc - rr):+.4f}   mean drift: {np.mean(rc + rr):+.4f}")

@@ -142,7 +142,7 @@ def _scored_pairs(pairs, r_chosen, r_rejected) -> list[evaluation.ScoredPair]:
 def cmd_score(args) -> int:
     pairs = read_pairs(args.pairs)
     cfg, params = scorer.load_checkpoint(args.checkpoint)
-    scored = _scored_pairs(pairs, *training.score_pairs(pairs, cfg, params))
+    scored = _scored_pairs(pairs, *training.score_pairs(training.pair_chunks(pairs, cfg), cfg, params))
     out = _resolve(args.out_dir, args.out)
     evaluation.write_scores(scored, out)
     print(f"scored {len(scored)} pairs to {out}")
@@ -239,7 +239,7 @@ def cmd_e2e(args) -> int:
     result = training.train(train_pairs, val_pairs, scorer_cfg, train_cfg, checkpoint_dir=out_dir / "checkpoints")
     _write_training(out_dir, scorer_cfg, result)
 
-    rc, rr = training.score_pairs(val_pairs, scorer_cfg, result.best_params)
+    rc, rr = training.score_pairs(training.pair_chunks(val_pairs, scorer_cfg), scorer_cfg, result.best_params)
     scored = _scored_pairs(val_pairs, rc, rr)
     evaluation.write_scores(scored, out_dir / "val-scores.jsonl")
     _write_report(out_dir, scored)

@@ -361,7 +361,10 @@ def _parse_turn(rec: dict, base_dir: Path, line: int) -> Turn:
 def _parse_episode(rec: dict, base_dir: Path, line: int, source_tier: str) -> Episode:
     try:
         turns = [_parse_turn(t, base_dir, line) for t in rec["turns"]]
-        metadata = {str(k): str(v) for k, v in rec.get("metadata", {}).items()}
+        metadata = rec.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise TypeError(f"metadata must be an object, not {type(metadata).__name__}")
+        metadata = {str(k): str(v) for k, v in metadata.items()}
         return Episode(
             episode_id=str(rec["episode_id"]),
             turns=turns,
@@ -370,7 +373,7 @@ def _parse_episode(rec: dict, base_dir: Path, line: int, source_tier: str) -> Ep
         )
     except KeyError as exc:
         raise ManifestParseError(f"episode record missing key {exc}", line=line) from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ManifestParseError(f"bad episode record: {exc}", line=line) from exc
 
 
@@ -520,7 +523,7 @@ def read_segments(path: str | Path) -> SegmentManifest:
             )
         except KeyError as exc:
             raise ManifestParseError(f"segment record missing key {exc}", line=lineno) from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ManifestParseError(f"bad segment record: {exc}", line=lineno) from exc
     try:
         return SegmentManifest(records)

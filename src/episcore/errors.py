@@ -71,10 +71,6 @@ class ShapeMismatchError(EpiscoreError):
     code = "SHAPE_MISMATCH"
 
 
-class AllMaskedError(EpiscoreError):
-    code = "ALL_MASKED"
-
-
 class StaleCacheError(EpiscoreError):
     code = "STALE_CACHE"
 

@@ -101,18 +101,13 @@ def _summary(values: np.ndarray) -> dict[str, float]:
     }
 
 
-def distribution_stats(scored: list[ScoredPair], by: str = "subset") -> dict[str, dict[str, dict[str, float]]]:
-    """Per-group order statistics of r_chosen, r_rejected, margin, drift.
-
-    Groups by ``subset`` (default) or ``criterion``.
-    """
+def distribution_stats(scored: list[ScoredPair]) -> dict[str, dict[str, dict[str, float]]]:
+    """Per-subset order statistics of r_chosen, r_rejected, margin, drift."""
     if not scored:
         raise EmptySetError("cannot compute distribution stats over an empty set")
-    if by not in ("subset", "criterion"):
-        raise ValueError(f"can group by 'subset' or 'criterion', not {by!r}")
     out: dict[str, dict[str, dict[str, float]]] = {}
-    for group in sorted({getattr(s, by) for s in scored}):
-        members = [s for s in scored if getattr(s, by) == group]
+    for group in sorted({s.subset for s in scored}):
+        members = [s for s in scored if s.subset == group]
         chosen = np.array([s.r_chosen for s in members])
         rejected = np.array([s.r_rejected for s in members])
         out[group] = {
@@ -157,21 +152,17 @@ def agreement_stats(rows: list[tuple[str, int, float, float]]) -> tuple[list[Agr
     return out, overall
 
 
-def confidence_buckets(
-    scored: list[ScoredPair],
-    thresholds: tuple[float, float] = (0.25, 0.75),
-) -> dict[str, list[ScoredPair]]:
+def confidence_buckets(scored: list[ScoredPair]) -> dict[str, list[ScoredPair]]:
     """Split pairs by margin: mis-ranked (margin <= 0), then high/low
-    confidence as the strict top/bottom quantile tails of the positive
-    margins (default: bottom and top quartile). With all positive margins
-    equal, both tails are empty."""
+    confidence as the strict top/bottom quartile tails of the positive
+    margins. With all positive margins equal, both tails are empty."""
     mis_ranked = [s for s in scored if s.margin <= 0]
     positive = [s for s in scored if s.margin > 0]
     high, low = [], []
     if positive:
         margins = np.array([s.margin for s in positive])
-        lo_thr = float(np.percentile(margins, 100 * thresholds[0], method="linear"))
-        hi_thr = float(np.percentile(margins, 100 * thresholds[1], method="linear"))
+        lo_thr = float(np.percentile(margins, 25, method="linear"))
+        hi_thr = float(np.percentile(margins, 75, method="linear"))
         high = [s for s in positive if s.margin > hi_thr]
         low = [s for s in positive if s.margin < lo_thr]
     return {"high_confidence": high, "low_confidence": low, "mis_ranked": mis_ranked}

@@ -91,9 +91,8 @@ def group_segments(
     manifest: SegmentManifest,
     cfg: GroupingConfig,
     source_tier: str = "wild",
-    episode_prefix: str = "grp",
 ) -> list[Episode]:
-    """Group raw segments into candidate episodes.
+    """Group raw segments into candidate episodes ``grp-0000``, ``grp-0001``, ...
 
     Emitted episodes always satisfy the config bounds: total speech time
     at most the group duration cap, gaps between retained segments at
@@ -154,7 +153,7 @@ def group_segments(
             )
             for seg in kept
         ]
-        episodes.append(Episode(f"{episode_prefix}-{counter:04d}", turns, source_tier))
+        episodes.append(Episode(f"grp-{counter:04d}", turns, source_tier))
         counter += 1
     return episodes
 
@@ -364,13 +363,8 @@ def default_signature(d_in: int, scale: float = 0.5) -> np.ndarray:
     return sig
 
 
-def synth_config(d_in: int = 8, seed: int = 0, noise_std: float = 0.25, signature_scale: float = 0.5) -> SynthConfig:
-    return SynthConfig(
-        d_in=d_in,
-        signature=default_signature(d_in, signature_scale),
-        noise_std=noise_std,
-        seed=seed,
-    )
+def synth_config(d_in: int = 8, seed: int = 0, noise_std: float = 0.25) -> SynthConfig:
+    return SynthConfig(d_in=d_in, noise_std=noise_std, seed=seed)
 
 
 def synth_pairs(cfg: SynthConfig, n: int, split: str = "train") -> list[PreferencePair]:

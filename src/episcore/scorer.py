@@ -16,13 +16,14 @@ Every non-criterion row is encoded as h = tanh(W_enc f + b_enc), the
 sequence is pooled (last / mean / attention), and a one-hidden-layer tanh
 MLP maps the pooled vector to a scalar reward.
 
-Scoring is batched: :func:`pack_episodes` packs the sequences of many
-episodes into one ragged :class:`EpisodeBatch`, :func:`score_batch` scores
-them all in one forward pass, and :func:`backward_batch` produces exact
-reverse-mode gradients of any weighted sum of their rewards w.r.t. every
-parameter tensor, which the test suite verifies against central finite
-differences. :func:`score` and :func:`backward` are the same code on a
-batch of one.
+Scoring takes one input type, a ragged :class:`EpisodeBatch`:
+:func:`pack_episodes` packs the sequences of many episodes into one,
+:func:`score_batch` scores them all in one forward pass, and
+:func:`backward_batch` produces exact reverse-mode gradients of any
+weighted sum of their rewards w.r.t. every parameter tensor, which the
+test suite verifies against central finite differences. :func:`score` and
+:func:`backward` are the same code on a batch of one; their
+:class:`Activations` hold the encoded rows (``h``) and the pooled vector.
 
 Parameters and gradients each live in one float64 vector whose named
 tensors are views of it (:class:`ScorerParams`).
@@ -46,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .episodes import Criterion, Episode
-from .errors import AllMaskedError, CheckpointError, ShapeMismatchError, StaleCacheError
+from .errors import CheckpointError, ShapeMismatchError, StaleCacheError
 
 POOLING_MODES = ("last", "mean", "attention")
 _POOLING_CODE = {"last": 0, "mean": 1, "attention": 2}
@@ -271,7 +272,13 @@ def _segment_pool(
     h: np.ndarray, starts: np.ndarray, lengths: np.ndarray, mode: str, params: ScorerParams
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Pool every segment of ``h`` to one row; also return the attention
-    weights (None for last and mean pooling)."""
+    weights (None for last and mean pooling).
+
+    last: the segment's last row. mean: the arithmetic mean of its rows.
+    attention: softmax(H q / sqrt(d)) weights over its rows. With q = 0 the
+    weights are exactly uniform, so attention pooling reproduces mean
+    pooling bit for bit.
+    """
     if mode == "last":
         return h[starts + lengths - 1], None
     if mode == "mean":
@@ -284,29 +291,6 @@ def _segment_pool(
         pooled = np.add.reduceat(e[:, None] * h, starts, axis=0) / esum[:, None]
         return pooled, e / np.repeat(esum, lengths)
     raise ValueError(f"unknown pooling {mode!r}")
-
-
-def encode(
-    episode: Episode, criterion: Criterion, cfg: ScorerConfig, params: ScorerParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode an episode into the (L, d) hidden sequence plus its mask."""
-    h = _encode(pack_episodes([episode], [criterion], cfg), cfg, params)
-    return h, np.ones(h.shape[0], dtype=bool)
-
-
-def pool(h: np.ndarray, mask: np.ndarray, mode: str, params: ScorerParams) -> np.ndarray:
-    """Aggregate the unmasked rows of a hidden sequence into one d-vector.
-
-    last: the last unmasked row. mean: arithmetic mean of unmasked rows.
-    attention: softmax(H q / sqrt(d)) weights over unmasked rows. With
-    q = 0 the attention weights are exactly uniform, so attention pooling
-    reproduces mean pooling bit for bit.
-    """
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise AllMaskedError("cannot pool a fully masked sequence")
-    pooled, _ = _segment_pool(h[idx], np.zeros(1, dtype=np.intp), np.array([idx.size]), mode, params)
-    return pooled[0]
 
 
 def score_batch(batch: EpisodeBatch, cfg: ScorerConfig, params: ScorerParams) -> Activations:

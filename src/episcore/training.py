@@ -18,8 +18,12 @@ with the per-pair upstreams
     dL/dr- = (1/n) * (+sigmoid(-(r+ - r-)) + 2 lambda (r+ + r-))
 
 which are verified against finite differences at the loss level in the
-test suite. The input rows of a pair set are packed once (:func:`pack_pairs`)
-and each step gathers its batch's rows by index.
+test suite. Each layer takes one input type: :func:`total_loss` takes a
+:func:`pack_pairs` batch (training packs its pair set once and each step
+gathers its batch's rows by index), and forward-only scoring
+(:func:`score_pairs`, :func:`evaluate_loss`) takes the packed chunks of
+:func:`pair_chunks`, the one statement of how a pair set is split into
+forward passes.
 
 Determinism: the same params and the same batch composition give a
 bitwise-identical :class:`BatchLoss`, so a training run is bitwise
@@ -30,6 +34,7 @@ agrees within 1e-15, not bitwise.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,45 +139,39 @@ def take_pairs(packed: EpisodeBatch, index) -> EpisodeBatch:
 
 
 # Pairs per forward pass when scoring a whole pair set; bounds the memory
-# of the pass (a list of pairs is also packed one chunk at a time).
+# of the pass.
 SCORE_CHUNK = 32
 
 
+def pair_chunks(pairs: list[PreferencePair], cfg: ScorerConfig) -> Iterator[EpisodeBatch]:
+    """:func:`pack_pairs` batches of ``SCORE_CHUNK`` consecutive pairs, in
+    order (the last one may be shorter), packed one at a time as they are
+    consumed. This chunk composition fixes the bits of every forward-only
+    score, so ``episcore score`` and train validation agree bitwise."""
+    for lo in range(0, len(pairs), SCORE_CHUNK):
+        yield pack_pairs(pairs[lo : lo + SCORE_CHUNK], cfg)
+
+
 def score_pairs(
-    pairs: list[PreferencePair] | EpisodeBatch, cfg: ScorerConfig, params: ScorerParams
+    chunks: Iterable[EpisodeBatch], cfg: ScorerConfig, params: ScorerParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-only scoring of both sides of every pair, ``SCORE_CHUNK``
-    pairs per pass. ``pairs`` is a list or a :func:`pack_pairs` batch;
-    both give bitwise-identical scores."""
-    packed = isinstance(pairs, EpisodeBatch)
-    n = len(pairs) // 2 if packed else len(pairs)
-    r_chosen = np.empty(n)
-    r_rejected = np.empty(n)
-    for lo in range(0, n, SCORE_CHUNK):
-        hi = min(lo + SCORE_CHUNK, n)
-        chunk = take_pairs(pairs, np.arange(lo, hi)) if packed else pack_pairs(pairs[lo:hi], cfg)
-        r = scorer.score_batch(chunk, cfg, params).r
-        r_chosen[lo:hi] = r[: hi - lo]
-        r_rejected[lo:hi] = r[hi - lo :]
-    return r_chosen, r_rejected
+    """Forward-only (chosen, rejected) scores of every pair of the
+    :func:`pack_pairs` batches ``chunks``, one forward pass per chunk."""
+    scores = [scorer.score_batch(chunk, cfg, params).r.reshape(2, -1) for chunk in chunks]
+    r = np.concatenate(scores, axis=1) if scores else np.empty((2, 0))
+    return r[0], r[1]
 
 
 def total_loss(
-    batch: list[PreferencePair] | EpisodeBatch,
-    cfg: ScorerConfig,
-    params: ScorerParams,
-    lambda_center: float = 1e-2,
+    batch: EpisodeBatch, cfg: ScorerConfig, params: ScorerParams, lambda_center: float = 1e-2
 ) -> BatchLoss:
-    """Batch objective and its exact parameter gradients.
+    """Objective of a :func:`pack_pairs` batch and its exact parameter gradients.
 
-    ``batch`` is a list of pairs or a :func:`pack_pairs` batch. Both sides
-    of every pair are scored in the same pass so the centering term couples
-    them pairwise, exactly as written above.
+    Both sides of every pair are scored in the same pass so the centering
+    term couples them pairwise, exactly as written above.
     """
     if len(batch) == 0:
         raise EmptyBatchError("cannot compute a loss over an empty batch")
-    if not isinstance(batch, EpisodeBatch):
-        batch = pack_pairs(batch, cfg)
     n = len(batch) // 2
     acts = scorer.score_batch(batch, cfg, params)
     r_chosen, r_rejected = acts.r[:n], acts.r[n:]
@@ -258,14 +257,11 @@ class TrainResult:
 
 
 def evaluate_loss(
-    pairs: list[PreferencePair] | EpisodeBatch,
-    cfg: ScorerConfig,
-    params: ScorerParams,
-    lambda_center: float,
+    chunks: Iterable[EpisodeBatch], cfg: ScorerConfig, params: ScorerParams, lambda_center: float
 ) -> tuple[float, float]:
-    """(total loss, pairwise accuracy) on a held-out set, forward only;
-    ``pairs`` is a list or a :func:`pack_pairs` batch."""
-    rc, rr = score_pairs(pairs, cfg, params)
+    """(total loss, pairwise accuracy) on the held-out :func:`pair_chunks`
+    ``chunks``, forward only."""
+    rc, rr = score_pairs(chunks, cfg, params)
     loss = float(np.mean(bt_loss(rc, rr))) + lambda_center * float(np.mean(center_loss(rc, rr)))
     acc = float(np.mean(rc > rr))
     return loss, acc
@@ -298,7 +294,7 @@ def train(
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_ss))
 
     train_packed = pack_pairs(pairs, scorer_cfg)
-    val_packed = pack_pairs(val_pairs, scorer_cfg) if val_pairs else None
+    val_chunks = list(pair_chunks(val_pairs, scorer_cfg))
 
     state = AdamState.init(params)
     n = len(pairs)
@@ -331,7 +327,7 @@ def train(
             step=step,
             loss_pref=result.loss_pref,
             loss_center=result.loss_center,
-            loss_total=result.loss_pref + cfg.lambda_center * result.loss_center,
+            loss_total=result.value,
             grad_norm_preclip=preclip,
             lr=lr,
             mean_chosen_r=float(result.r_chosen.mean()),
@@ -340,7 +336,7 @@ def train(
         )
 
         if val_pairs and (step % cfg.eval_every == 0 or step == cfg.total_steps):
-            val_loss, val_acc = evaluate_loss(val_packed, scorer_cfg, params, cfg.lambda_center)
+            val_loss, val_acc = evaluate_loss(val_chunks, scorer_cfg, params, cfg.lambda_center)
             report.val_loss = val_loss
             report.val_accuracy = val_acc
             if val_loss < best_val:

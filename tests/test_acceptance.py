@@ -31,7 +31,7 @@ from episcore import (
 )
 from episcore.evaluation import ScoredPair, pairwise_accuracy
 from episcore.pipeline import JudgeScores
-from episcore.training import score_pairs
+from episcore.training import pair_chunks, score_pairs
 
 from conftest import make_episode, make_pair
 from test_evaluation import REFERENCE_AGREEMENT_ROWS, REFERENCE_COUNTS, REFERENCE_SCORECARDS
@@ -107,7 +107,7 @@ def test_criterion_5_desk_scale_learnability():
         train_cfg = TrainConfig()  # defaults throughout
         assert train_cfg.total_steps <= 2000
         result = train(train_pairs, val_pairs, scorer_cfg, train_cfg)
-        rc, rr = score_pairs(val_pairs, scorer_cfg, result.best_params)
+        rc, rr = score_pairs(pair_chunks(val_pairs, scorer_cfg), scorer_cfg, result.best_params)
         accuracy = float(np.mean(rc > rr))
         elapsed = time.perf_counter() - start
         assert accuracy >= 0.95, f"held-out accuracy {accuracy}"
@@ -125,7 +125,7 @@ def test_criterion_6_centering_effect():
         for lam in (0.0, 1e-2):
             train_cfg = TrainConfig(total_steps=400, lambda_center=lam, seed=0)
             result = train(train_pairs, val_pairs, scorer_cfg, train_cfg)
-            rc, rr = score_pairs(val_pairs, scorer_cfg, result.best_params)
+            rc, rr = score_pairs(pair_chunks(val_pairs, scorer_cfg), scorer_cfg, result.best_params)
             results[lam] = {
                 "margin": float(np.mean(rc - rr)),
                 "drift": float(np.mean(rc + rr)),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import episcore.scorer as sc
 from episcore import Criterion, Episode, ScorerConfig, Turn, init_params, synth_config, synth_pairs, total_loss
 from episcore.gradcheck import relative_error
-from episcore.training import pack_pairs, score_pairs, take_pairs
+from episcore.training import SCORE_CHUNK, pack_pairs, pair_chunks, score_pairs, take_pairs
 
 VOCAB = ["yeah", "so", "okay", "right", "well", "um"]
 
@@ -87,7 +87,7 @@ def test_same_batch_composition_gives_bitwise_identical_loss(mode):
     cfg = ScorerConfig(d_in=8, pooling=mode)
     params = init_params(cfg, seed=2)
     pairs = synth_pairs(synth_config(seed=4), 9)
-    a = total_loss(pairs[2:7], cfg, params)
+    a = total_loss(pack_pairs(pairs[2:7], cfg), cfg, params)
     b = total_loss(take_pairs(pack_pairs(pairs, cfg), range(2, 7)), cfg, params)
     assert (a.value, a.loss_pref, a.loss_center) == (b.value, b.loss_pref, b.loss_center)
     assert np.array_equal(a.r_chosen, b.r_chosen) and np.array_equal(a.r_rejected, b.r_rejected)
@@ -96,10 +96,15 @@ def test_same_batch_composition_gives_bitwise_identical_loss(mode):
 
 
 def test_scoring_a_list_and_its_pack_agree_bitwise():
+    # The chunks of a list, packed one at a time (``episcore score``), and
+    # the same chunks gathered from one pack of the whole list: same bits.
     cfg = ScorerConfig(d_in=8, pooling="attention")
     params = init_params(cfg, seed=2)
     pairs = synth_pairs(synth_config(seed=5), 70)  # three chunks, the last one partial
-    from_list = score_pairs(pairs, cfg, params)
-    from_pack = score_pairs(pack_pairs(pairs, cfg), cfg, params)
+    packed = pack_pairs(pairs, cfg)
+    gathered = (take_pairs(packed, range(lo, min(lo + SCORE_CHUNK, 70))) for lo in range(0, 70, SCORE_CHUNK))
+    from_list = score_pairs(pair_chunks(pairs, cfg), cfg, params)
+    from_pack = score_pairs(gathered, cfg, params)
     assert all(np.array_equal(a, b) for a, b in zip(from_list, from_pack))
     assert from_list[0].shape == (70,)
+    assert [len(chunk) // 2 for chunk in pair_chunks(pairs, cfg)] == [32, 32, 6]

@@ -4,11 +4,11 @@ import shutil
 import numpy as np
 import pytest
 
-from episcore import read_episodes, read_pairs, write_pairs, write_segments
+from episcore import read_episodes, read_pairs, write_episodes, write_pairs, write_segments
 from episcore.cli import main
 from episcore.episodes import Segment, SegmentManifest, write_features
 
-from conftest import make_pair
+from conftest import make_episode, make_pair
 from test_evaluation import REFERENCE_COUNTS
 
 
@@ -237,6 +237,46 @@ def test_missing_input_file_exits_with_io_error(tmp_path, capsys, argv):
     assert run(*argv, "--out-dir", tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[IO_ERROR]: ") and str(missing) in err
+
+
+def _write_segment_manifest(path):
+    write_features(path.parent / "seg.f32", np.zeros((1, 4), dtype=np.float32))
+    write_segments(SegmentManifest([Segment("a", 0.0, 1.0, "yeah", "seg.f32")]), path)
+
+
+def _write_pair_manifest(path):
+    write_pairs([make_pair()], path)
+
+
+def _write_episode_manifest(path):
+    write_episodes([make_episode()], path)
+
+
+def _break_first_record(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[0])
+    edit(rec)
+    path.write_text(json.dumps(rec) + "\n" + "".join(lines[1:]))
+
+
+@pytest.mark.parametrize(
+    "command, write, edit",
+    [
+        (["pipeline", "group", "--manifest"], _write_segment_manifest, lambda rec: rec.update(start_s=None)),
+        (["pipeline", "group", "--manifest"], _write_segment_manifest, lambda rec: rec.update(features_path=5)),
+        (["pipeline", "stratify", "--in"], _write_pair_manifest, lambda rec: rec["chosen"].update(turns=3)),
+        (["pipeline", "stratify", "--in"], _write_pair_manifest, lambda rec: rec["chosen"].update(metadata=[1])),
+        (["pipeline", "filter", "--rejects", "r.jsonl", "--in"], _write_episode_manifest,
+         lambda rec: rec.update(turns=None)),
+    ],
+    ids=["null_start", "numeric_features_path", "numeric_turns", "list_metadata", "null_turns"],
+)
+def test_malformed_record_fails_with_parse_error(tmp_path, capsys, command, write, edit):
+    manifest = tmp_path / "in.jsonl"
+    write(manifest)
+    _break_first_record(manifest, edit)
+    assert run(*command, manifest, "--out", "out.jsonl", "--out-dir", tmp_path) == 1
+    assert "error[PARSE_ERROR]: line 1: " in capsys.readouterr().err
 
 
 class TestAgreementCommand:

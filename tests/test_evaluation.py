@@ -133,17 +133,6 @@ class TestDistributionStats:
         assert stats["q1"] == pytest.approx(0.775)
         assert stats["q3"] == pytest.approx(2.25)
 
-    def test_grouping_by_criterion(self):
-        scored = [
-            sp("a", 1.0, 0.0, criterion="modality"),
-            sp("b", 3.0, 0.0, criterion="colloquialness"),
-        ]
-        stats = distribution_stats(scored, by="criterion")
-        assert set(stats) == {"modality", "colloquialness"}
-        assert stats["colloquialness"]["margin"]["mean"] == 3.0
-        with pytest.raises(ValueError):
-            distribution_stats(scored, by="pair_id")
-
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
             distribution_stats([])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import episcore.scorer as sc
-from episcore import Criterion, Episode, ScorerConfig, Turn, encode, init_params, pool, score
-from episcore.errors import AllMaskedError, CheckpointError, ShapeMismatchError
+from episcore import Criterion, Episode, ScorerConfig, Turn, init_params, score
+from episcore.errors import CheckpointError, ShapeMismatchError
 from episcore.scorer import load_checkpoint, save_checkpoint, zeros_like_params
 
 from conftest import make_episode, make_turn
@@ -27,14 +27,13 @@ class TestLayout:
         # 1 criterion row + 2 text tokens + 3 audio frames
         cfg = ScorerConfig(d_in=D_IN)
         params = init_params(cfg, seed=0)
-        h, mask = encode(one_turn_episode(), Criterion.MODALITY, cfg, params)
+        h = score(one_turn_episode(), Criterion.MODALITY, cfg, params)[1].h
         assert h.shape == (6, cfg.d)
-        assert mask.all() and mask.shape == (6,)
 
     def test_per_turn_truncation(self):
         cfg = ScorerConfig(d_in=D_IN, max_frames_per_turn=2)
         params = init_params(cfg, seed=0)
-        h, _ = encode(one_turn_episode(n_frames=9), Criterion.MODALITY, cfg, params)
+        h = score(one_turn_episode(n_frames=9), Criterion.MODALITY, cfg, params)[1].h
         assert h.shape[0] == 1 + 2 + 2
 
     def test_text_tokens_precede_audio_within_a_turn(self):
@@ -50,7 +49,7 @@ class TestLayout:
     def test_criterion_row_passes_through_unencoded(self):
         cfg = ScorerConfig(d_in=D_IN)
         params = init_params(cfg, seed=0)
-        h, _ = encode(one_turn_episode(), Criterion.MODALITY, cfg, params)
+        h = score(one_turn_episode(), Criterion.MODALITY, cfg, params)[1].h
         assert np.array_equal(h[0], params.e_crit[0])
 
     def test_zero_frame_encodes_to_tanh_bias(self):
@@ -58,15 +57,15 @@ class TestLayout:
         params = init_params(cfg, seed=0)
         params.b_enc[...] = 0.3
         ep = Episode("ep", [Turn("spk-a", "", 1.0, np.zeros((1, D_IN), dtype=np.float32))], "wild")
-        h, _ = encode(ep, Criterion.MODALITY, cfg, params)
+        h = score(ep, Criterion.MODALITY, cfg, params)[1].h
         assert np.allclose(h[1], np.tanh(params.b_enc), rtol=0, atol=0)
 
     def test_criterion_swap_changes_only_row_zero(self):
         cfg = ScorerConfig(d_in=D_IN)
         params = init_params(cfg, seed=0)
         ep = make_episode(4)
-        ha, _ = encode(ep, Criterion.MODALITY, cfg, params)
-        hb, _ = encode(ep, Criterion.COLLOQUIALNESS, cfg, params)
+        ha = score(ep, Criterion.MODALITY, cfg, params)[1].h
+        hb = score(ep, Criterion.COLLOQUIALNESS, cfg, params)[1].h
         assert not np.array_equal(ha[0], hb[0])
         assert np.array_equal(ha[1:], hb[1:])
 
@@ -74,50 +73,39 @@ class TestLayout:
         cfg = ScorerConfig(d_in=D_IN + 1)
         params = init_params(cfg, seed=0)
         with pytest.raises(ShapeMismatchError):
-            encode(make_episode(2), Criterion.MODALITY, cfg, params)
+            score(make_episode(2), Criterion.MODALITY, cfg, params)
+
+
+def pool_one(h, mode, params):
+    """Pool the rows of ``h`` as one segment."""
+    pooled, _ = sc._segment_pool(h, np.array([0]), np.array([h.shape[0]]), mode, params)
+    return pooled[0]
 
 
 class TestPool:
     def test_mean_of_two_rows(self):
         params = init_params(ScorerConfig(d_in=1, d=1), seed=0)
-        h = np.array([[1.0], [3.0]])
-        mask = np.ones(2, dtype=bool)
-        assert pool(h, mask, "mean", params) == np.array([2.0])
+        assert pool_one(np.array([[1.0], [3.0]]), "mean", params) == np.array([2.0])
 
     def test_last_takes_last_unmasked(self):
         params = init_params(ScorerConfig(d_in=1, d=1), seed=0)
-        h = np.array([[1.0], [3.0], [9.0]])
-        mask = np.array([True, True, False])
-        assert pool(h, mask, "last", params) == np.array([3.0])
+        assert pool_one(np.array([[1.0], [3.0], [9.0]]), "last", params) == np.array([9.0])
 
     def test_attention_with_zero_query_equals_mean_bitwise(self):
-        cfg = ScorerConfig(d_in=D_IN)
-        params = init_params(cfg, seed=1)
+        params = init_params(ScorerConfig(d_in=D_IN), seed=1)
         params.q[...] = 0.0
-        h, mask = encode(make_episode(4), Criterion.MODALITY, cfg, params)
-        assert np.array_equal(pool(h, mask, "attention", params), pool(h, mask, "mean", params))
+        pooled = {
+            mode: score(make_episode(4), Criterion.MODALITY, ScorerConfig(d_in=D_IN, pooling=mode), params)[1].pooled
+            for mode in ("attention", "mean")
+        }
+        assert np.array_equal(pooled["attention"], pooled["mean"])
 
     def test_single_unmasked_row_identical_across_modes(self):
         cfg = ScorerConfig(d_in=D_IN)
         params = init_params(cfg, seed=1)
-        h = np.random.default_rng(0).standard_normal((4, cfg.d))
-        mask = np.array([False, True, False, False])
+        h = np.random.default_rng(0).standard_normal((1, cfg.d))
         for mode in sc.POOLING_MODES:
-            assert np.array_equal(pool(h, mask, mode, params), h[1])
-
-    def test_masked_padding_changes_nothing(self):
-        cfg = ScorerConfig(d_in=D_IN)
-        params = init_params(cfg, seed=1)
-        h, mask = encode(make_episode(4), Criterion.MODALITY, cfg, params)
-        padded = np.vstack([h, np.full((3, cfg.d), 123.0)])
-        pad_mask = np.concatenate([mask, np.zeros(3, dtype=bool)])
-        for mode in sc.POOLING_MODES:
-            assert np.array_equal(pool(h, mask, mode, params), pool(padded, pad_mask, mode, params))
-
-    def test_all_masked_raises(self):
-        params = init_params(ScorerConfig(d_in=1, d=1), seed=0)
-        with pytest.raises(AllMaskedError):
-            pool(np.ones((2, 1)), np.zeros(2, dtype=bool), "mean", params)
+            assert np.array_equal(pool_one(h, mode, params), h[0])
 
 
 class TestScore:

@@ -24,7 +24,7 @@ from episcore import (
 )
 from episcore.errors import EmptyBatchError
 from episcore.gradcheck import relative_error
-from episcore.training import AdamState, evaluate_loss, score_pairs, warmup_steps
+from episcore.training import AdamState, evaluate_loss, pack_pairs, pair_chunks, score_pairs, warmup_steps
 
 finite_scores = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -94,26 +94,26 @@ class TestTotalLoss:
     def test_zero_lambda_reduces_to_mean_bt(self, tiny_pair):
         cfg = ScorerConfig(d_in=4)
         params = init_params(cfg, seed=0)
-        out = total_loss([tiny_pair], cfg, params, lambda_center=0.0)
+        out = total_loss(pack_pairs([tiny_pair], cfg), cfg, params, lambda_center=0.0)
         assert out.value == out.loss_pref
 
     def test_zero_params_gives_ln2(self, tiny_pair):
         cfg = ScorerConfig(d_in=4)
         params = sc.zeros_like_params(init_params(cfg, seed=0))
-        out = total_loss([tiny_pair], cfg, params, lambda_center=1e-2)
+        out = total_loss(pack_pairs([tiny_pair], cfg), cfg, params, lambda_center=1e-2)
         assert out.value == pytest.approx(math.log(2), rel=0, abs=1e-12)
         assert out.loss_center == 0.0
 
     def test_empty_batch_raises(self):
         cfg = ScorerConfig(d_in=4)
         with pytest.raises(EmptyBatchError):
-            total_loss([], cfg, init_params(cfg, seed=0))
+            total_loss(pack_pairs([], cfg), cfg, init_params(cfg, seed=0))
 
     @pytest.mark.parametrize("mode", sc.POOLING_MODES)
     def test_loss_gradients_match_finite_differences(self, mode):
         cfg = ScorerConfig(d_in=8, d=6, pooling=mode, head_hidden=5)
         params = init_params(cfg, seed=4)
-        batch = synth_pairs(synth_config(seed=9), 3)
+        batch = pack_pairs(synth_pairs(synth_config(seed=9), 3), cfg)
         out = total_loss(batch, cfg, params, lambda_center=1e-2)
         h = 1e-5
         for name in sc.PARAM_FIELDS:
@@ -235,7 +235,7 @@ class TestTrainLoop:
         result = train(train_pairs, val_pairs, scfg, tcfg)
         val_losses = [r.val_loss for r in result.history if r.val_loss is not None]
         assert result.best_val_loss == min(val_losses)
-        best_loss, _ = evaluate_loss(val_pairs, scfg, result.best_params, tcfg.lambda_center)
+        best_loss, _ = evaluate_loss(pair_chunks(val_pairs, scfg), scfg, result.best_params, tcfg.lambda_center)
         assert best_loss == pytest.approx(result.best_val_loss, rel=0, abs=0)
 
     def test_rolling_checkpoint_window(self, tmp_path):
@@ -255,7 +255,7 @@ class TestTrainLoop:
         scfg = ScorerConfig(d_in=8)
         tcfg = TrainConfig(total_steps=150, eval_every=50, seed=0)
         result = train(train_pairs, val_pairs, scfg, tcfg)
-        rc, rr = score_pairs(val_pairs, scfg, result.best_params)
+        rc, rr = score_pairs(pair_chunks(val_pairs, scfg), scfg, result.best_params)
         assert float(np.mean(rc > rr)) >= 0.8
 
     def test_hundred_step_moving_average_of_loss_decreases(self):
