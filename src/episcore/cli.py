@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, config as configio, evaluation, gradcheck, pipeline, scorer, training
 from .episodes import (
-    read_episodes, read_pair_tiers, read_pairs, read_segments, write_episodes, write_jsonl, write_pairs
+    _record, read_episodes, read_pair_tiers, read_pairs, read_segments, write_episodes, write_jsonl, write_pairs
 )
 from .errors import EmptySetError, EpiscoreError, ManifestParseError
 
@@ -176,14 +176,10 @@ def cmd_agreement(args) -> int:
     rows = []
     with open(args.rows, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        for rec in reader:
-            try:
-                row = (rec["subset"], int(rec["count"]), float(rec["avg_margin"]), float(rec["agree_rate"]))
+        for cells in reader:
+            with _record(f"{args.rows} row", reader.line_num):
+                row = (cells["subset"], int(cells["count"]), float(cells["avg_margin"]), float(cells["agree_rate"]))
                 evaluation.AgreementRow(*row)  # range checks
-            except KeyError as exc:
-                raise ManifestParseError(f"{args.rows}: missing column {exc}", line=reader.line_num) from exc
-            except (TypeError, ValueError) as exc:
-                raise ManifestParseError(f"{args.rows}: bad row: {exc}", line=reader.line_num) from exc
             rows.append(row)
     per_subset, overall = evaluation.agreement_stats(rows)
     out_dir = Path(args.out_dir)
@@ -209,7 +205,6 @@ def cmd_gradcheck(args) -> int:
         n_draws=args.draws,
         seed=args.seed,
         tol=args.tol,
-        corrupt_group=args.corrupt_group,
     )
     out = _resolve(args.out_dir, args.out)
     _write_json(out, report.to_dict())
@@ -346,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--tol", type=float, default=gradcheck.DEFAULT_TOL)
     p.add_argument("--out", default="gradcheck-report.json")
-    p.add_argument("--corrupt-group", help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -9,13 +9,21 @@ All types are plain immutable-by-convention dataclasses; none of them
 enforce the episode-level structural rules at construction time. Those
 rules are checked by :func:`validate_episode`, which reports every violated
 rule instead of failing fast, so pipeline diagnostics see the full picture.
+
+Every manifest reader parses a record the same way. Each field is read with
+:func:`_get`, which accepts only that field's JSON type (a string, an array,
+an object, or a number that is not a bool; never null), and :func:`_record`
+turns any KeyError, TypeError, ValueError or OverflowError raised while
+building one record into PARSE_ERROR with the record's line number.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -247,9 +255,9 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
 
 
 def read_features(path: str | Path) -> np.ndarray:
-    path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}") from exc
     if len(raw) < _SIDECAR_HEADER.size:
@@ -293,6 +301,34 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(rec, dict):
                 raise ManifestParseError("expected a JSON object", line=lineno)
             yield lineno, rec
+
+
+_JSON_TYPE_NAMES = {str: "a string", float: "a number", list: "an array", dict: "an object"}
+
+
+def _get(rec: dict, key: str, kind: type):
+    """``rec[key]`` if its value has the JSON type ``kind``: ``str``,
+    ``list`` or ``dict``, or ``float`` for a number (an int counts and is
+    returned as a float; a bool does not). Any other value, null included,
+    raises TypeError naming the key and the value."""
+    value = rec[key]
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise TypeError(f"{key!r} must be {_JSON_TYPE_NAMES[kind]}, not {value!r}")
+
+
+@contextmanager
+def _record(kind: str, line: int | None):
+    """A KeyError, TypeError, ValueError or OverflowError (an int too large
+    for a float) raised while parsing one record is PARSE_ERROR at ``line``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ManifestParseError(f"{kind} missing key {exc}", line=line) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ManifestParseError(f"bad {kind}: {exc}", line=line) from exc
 
 
 def _claim_id(seen: set[str], owner_id: str, kind: str, line: int | None = None) -> None:
@@ -341,40 +377,25 @@ def _episode_record(ep: Episode, manifest_path: Path, owner_prefix: str) -> dict
     }
 
 
-def _parse_turn(rec: dict, base_dir: Path, line: int) -> Turn:
-    try:
-        features = read_features(base_dir / rec["features_path"])
-        return Turn(
-            speaker_id=str(rec["speaker_id"]),
-            transcript=str(rec["transcript"]),
-            duration_s=float(rec["duration_s"]),
-            features=features,
-            start_s=float(rec["start_s"]) if "start_s" in rec else None,
-            end_s=float(rec["end_s"]) if "end_s" in rec else None,
-        )
-    except KeyError as exc:
-        raise ManifestParseError(f"turn record missing key {exc}", line=line) from exc
-    except (TypeError, ValueError) as exc:
-        raise ManifestParseError(f"bad turn record: {exc}", line=line) from exc
+def _parse_turn(rec: dict, base_dir: str) -> Turn:
+    return Turn(
+        speaker_id=_get(rec, "speaker_id", str),
+        transcript=_get(rec, "transcript", str),
+        duration_s=_get(rec, "duration_s", float),
+        features=read_features(os.path.join(base_dir, _get(rec, "features_path", str))),
+        start_s=_get(rec, "start_s", float) if "start_s" in rec else None,
+        end_s=_get(rec, "end_s", float) if "end_s" in rec else None,
+    )
 
 
-def _parse_episode(rec: dict, base_dir: Path, line: int, source_tier: str) -> Episode:
-    try:
-        turns = [_parse_turn(t, base_dir, line) for t in rec["turns"]]
-        metadata = rec.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise TypeError(f"metadata must be an object, not {type(metadata).__name__}")
-        metadata = {str(k): str(v) for k, v in metadata.items()}
-        return Episode(
-            episode_id=str(rec["episode_id"]),
-            turns=turns,
-            source_tier=source_tier,
-            metadata=metadata,
-        )
-    except KeyError as exc:
-        raise ManifestParseError(f"episode record missing key {exc}", line=line) from exc
-    except (TypeError, ValueError) as exc:
-        raise ManifestParseError(f"bad episode record: {exc}", line=line) from exc
+def _parse_episode(rec: dict, base_dir: str, source_tier: str) -> Episode:
+    metadata = _get(rec, "metadata", dict) if "metadata" in rec else {}
+    return Episode(
+        episode_id=_get(rec, "episode_id", str),
+        turns=[_parse_turn(t, base_dir) for t in _get(rec, "turns", list)],
+        source_tier=source_tier,
+        metadata={k: _get(metadata, k, str) for k in metadata},
+    )
 
 
 def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
@@ -412,16 +433,12 @@ def _pair_headers(path: str | Path) -> Iterator[tuple[int, dict, str, Criterion,
     valid; a pair_id seen on an earlier line raises DUPLICATE_ID."""
     seen: set[str] = set()
     for lineno, rec in read_jsonl(path):
-        try:
-            pair_id = str(rec["pair_id"])
-            criterion = Criterion(rec["criterion"])
-            split = str(rec["split"])
-            source_tier = str(rec["source_tier"])
-            rec["chosen"], rec["rejected"]  # both sides must be present
-        except KeyError as exc:
-            raise ManifestParseError(f"pair record missing key {exc}", line=lineno) from exc
-        except ValueError as exc:
-            raise ManifestParseError(f"bad pair record: {exc}", line=lineno) from exc
+        with _record("pair record", lineno):
+            pair_id = _get(rec, "pair_id", str)
+            criterion = Criterion(_get(rec, "criterion", str))
+            split = _get(rec, "split", str)
+            source_tier = _get(rec, "source_tier", str)
+            _get(rec, "chosen", dict), _get(rec, "rejected", dict)  # both sides must be objects
         _claim_id(seen, pair_id, "pair_id", lineno)
         if split not in SPLITS:
             raise ManifestParseError(f"unknown split {split!r}", line=lineno)
@@ -439,11 +456,12 @@ def read_pairs(path: str | Path) -> list[PreferencePair]:
     :class:`InvariantError` (with the violation codes) for records whose
     episodes fail validation or whose sides disagree on turn count or tier.
     """
-    base_dir = Path(path).parent
+    base_dir = os.path.dirname(path)
     pairs = []
     for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(path):
-        chosen = _parse_episode(rec["chosen"], base_dir, lineno, source_tier)
-        rejected = _parse_episode(rec["rejected"], base_dir, lineno, source_tier)
+        with _record("pair record", lineno):
+            chosen = _parse_episode(rec["chosen"], base_dir, source_tier)
+            rejected = _parse_episode(rec["rejected"], base_dir, source_tier)
         codes = validate_episode(chosen) + validate_episode(rejected)
         codes += validate_pair(chosen, rejected)
         if codes:
@@ -487,14 +505,12 @@ def read_episodes(path: str | Path) -> list[Episode]:
     filter) downstream. An episode_id seen on an earlier line raises
     DUPLICATE_ID with the line number.
     """
-    base_dir = Path(path).parent
+    base_dir = os.path.dirname(path)
     episodes = []
     seen: set[str] = set()
     for lineno, rec in read_jsonl(path):
-        tier = str(rec.get("source_tier", ""))
-        if tier not in SOURCE_TIERS:
-            raise ManifestParseError(f"unknown source_tier {tier!r}", line=lineno)
-        ep = _parse_episode(rec, base_dir, lineno, tier)
+        with _record("episode record", lineno):
+            ep = _parse_episode(rec, base_dir, _get(rec, "source_tier", str))
         _claim_id(seen, ep.episode_id, "episode_id", lineno)
         episodes.append(ep)
     return episodes
@@ -509,23 +525,15 @@ def read_segments(path: str | Path) -> SegmentManifest:
     path = Path(path)
     records = []
     for lineno, rec in read_jsonl(path):
-        try:
+        with _record("segment record", lineno):
             records.append(
                 Segment(
-                    speaker_id=str(rec["speaker_id"]),
-                    start_s=float(rec["start_s"]),
-                    end_s=float(rec["end_s"]),
-                    transcript=str(rec["transcript"]),
-                    features_path=str((path.parent / rec["features_path"]).resolve())
-                    if not Path(rec["features_path"]).is_absolute()
-                    else str(rec["features_path"]),
+                    speaker_id=_get(rec, "speaker_id", str),
+                    start_s=_get(rec, "start_s", float),
+                    end_s=_get(rec, "end_s", float),
+                    transcript=_get(rec, "transcript", str),
+                    features_path=str((path.parent / _get(rec, "features_path", str)).resolve()),
                 )
             )
-        except KeyError as exc:
-            raise ManifestParseError(f"segment record missing key {exc}", line=lineno) from exc
-        except (TypeError, ValueError) as exc:
-            raise ManifestParseError(f"bad segment record: {exc}", line=lineno) from exc
-    try:
+    with _record("segment manifest", None):
         return SegmentManifest(records)
-    except ValueError as exc:
-        raise ManifestParseError(str(exc)) from exc

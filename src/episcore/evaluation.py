@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodes import MODALITY_TIERS, SOURCE_TIERS, read_jsonl, write_jsonl
-from .errors import EmptySetError, ManifestParseError, MissingSubsetError
+from .episodes import MODALITY_TIERS, SOURCE_TIERS, _get, _record, read_jsonl, write_jsonl
+from .errors import EmptySetError, MissingSubsetError
 
 COLLOQUIAL = "colloquial"
 
@@ -227,27 +227,20 @@ def build_report(scored: list[ScoredPair]) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
+# Score-file fields in record order, with their JSON types.
+_SCORE_FIELDS = {"pair_id": str, "r_chosen": float, "r_rejected": float, "subset": str, "criterion": str}
+
+
 def write_scores(scored: list[ScoredPair], path: str | Path) -> None:
     # Shallow records: dataclasses.asdict deep-copies every field, 30x slower.
-    keys = ("pair_id", "r_chosen", "r_rejected", "subset", "criterion")
-    write_jsonl(({k: getattr(s, k) for k in keys} for s in scored), path)
+    write_jsonl(({k: getattr(s, k) for k in _SCORE_FIELDS} for s in scored), path)
 
 
 def read_scores(path: str | Path) -> list[ScoredPair]:
     scored = []
     for lineno, rec in read_jsonl(path):
-        try:
-            scored.append(
-                ScoredPair(
-                    pair_id=str(rec["pair_id"]),
-                    r_chosen=float(rec["r_chosen"]),
-                    r_rejected=float(rec["r_rejected"]),
-                    subset=str(rec["subset"]),
-                    criterion=str(rec["criterion"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestParseError(f"bad score record: {exc}", line=lineno) from exc
+        with _record("score record", lineno):
+            scored.append(ScoredPair(**{k: _get(rec, k, kind) for k, kind in _SCORE_FIELDS.items()}))
     return scored
 
 

@@ -108,14 +108,9 @@ def run_gradcheck(
     seed: int = 0,
     h: float = DEFAULT_STEP,
     tol: float = DEFAULT_TOL,
-    corrupt_group: str | None = None,
 ) -> GradcheckReport:
     """Compare reverse-mode and finite-difference gradients over random
-    draws of (params, episode, criterion) for every pooling mode.
-
-    ``corrupt_group`` is a fault-injection hook for tests: it perturbs
-    that gradient group before comparison, which must make the check fail.
-    """
+    draws of (params, episode, criterion) for every pooling mode."""
     rng = np.random.default_rng(seed)
     groups = {name: GroupResult() for name in PARAM_FIELDS}
     for draw in range(n_draws):
@@ -125,8 +120,6 @@ def run_gradcheck(
             mode_cfg = replace(cfg, pooling=mode)
             acts = scorer.score_batch(batch, mode_cfg, params)
             analytic = scorer.backward_batch(acts, np.ones(1), mode_cfg, params)
-            if corrupt_group is not None:
-                getattr(analytic, corrupt_group)[...] += 1e-2
             numeric = numerical_gradient(lambda p: scorer.score_batch(batch, mode_cfg, p).r[0], params, h=h)
             for name in PARAM_FIELDS:
                 err = relative_error(getattr(analytic, name), getattr(numeric, name)).reshape(-1)

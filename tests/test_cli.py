@@ -4,9 +4,10 @@ import shutil
 import numpy as np
 import pytest
 
-from episcore import read_episodes, read_pairs, write_episodes, write_pairs, write_segments
+from episcore import read_episodes, read_pairs, scorer, write_episodes, write_pairs, write_segments
 from episcore.cli import main
-from episcore.episodes import Segment, SegmentManifest, write_features
+from episcore.episodes import SOURCE_TIERS, Segment, SegmentManifest, write_features
+from episcore.evaluation import ScoredPair, write_scores
 
 from conftest import make_episode, make_pair
 from test_evaluation import REFERENCE_COUNTS
@@ -252,6 +253,10 @@ def _write_episode_manifest(path):
     write_episodes([make_episode()], path)
 
 
+def _write_score_file(path):
+    write_scores([ScoredPair(f"pair-{tier}", 0.5, -0.5, tier, "modality") for tier in SOURCE_TIERS], path)
+
+
 def _break_first_record(path, edit):
     lines = path.read_text().splitlines(keepends=True)
     rec = json.loads(lines[0])
@@ -259,23 +264,43 @@ def _break_first_record(path, edit):
     path.write_text(json.dumps(rec) + "\n" + "".join(lines[1:]))
 
 
+def _null_a_speakers(rec):
+    for turn in rec["chosen"]["turns"][::2]:
+        turn["speaker_id"] = None
+
+
+GROUP = ["pipeline", "group", "--out", "out.jsonl", "--manifest"]
+STRATIFY = ["pipeline", "stratify", "--out", "out.jsonl", "--in"]
+
+
 @pytest.mark.parametrize(
     "command, write, edit",
     [
-        (["pipeline", "group", "--manifest"], _write_segment_manifest, lambda rec: rec.update(start_s=None)),
-        (["pipeline", "group", "--manifest"], _write_segment_manifest, lambda rec: rec.update(features_path=5)),
-        (["pipeline", "stratify", "--in"], _write_pair_manifest, lambda rec: rec["chosen"].update(turns=3)),
-        (["pipeline", "stratify", "--in"], _write_pair_manifest, lambda rec: rec["chosen"].update(metadata=[1])),
-        (["pipeline", "filter", "--rejects", "r.jsonl", "--in"], _write_episode_manifest,
+        (GROUP, _write_segment_manifest, lambda rec: rec.update(start_s=None)),
+        (GROUP, _write_segment_manifest, lambda rec: rec.update(features_path=5)),
+        (STRATIFY, _write_pair_manifest, lambda rec: rec["chosen"].update(turns=3)),
+        (STRATIFY, _write_pair_manifest, lambda rec: rec["chosen"].update(metadata=[1])),
+        (["pipeline", "filter", "--out", "out.jsonl", "--rejects", "r.jsonl", "--in"], _write_episode_manifest,
          lambda rec: rec.update(turns=None)),
+        (STRATIFY, _write_pair_manifest, lambda rec: rec["chosen"]["turns"][0].update(transcript=None)),
+        (STRATIFY, _write_pair_manifest, _null_a_speakers),
+        (STRATIFY, _write_pair_manifest, lambda rec: rec.update(pair_id=None)),
+        (STRATIFY, _write_pair_manifest, lambda rec: rec["chosen"]["metadata"].update(secondary_dimension=None)),
+        (STRATIFY, _write_pair_manifest, lambda rec: rec["chosen"]["turns"][0].update(duration_s=10**400)),
+        (["eval", "--scores"], _write_score_file, lambda rec: rec.update(r_chosen=True)),
+        (["eval", "--scores"], _write_score_file, lambda rec: rec.update(r_rejected="0.5")),
     ],
-    ids=["null_start", "numeric_features_path", "numeric_turns", "list_metadata", "null_turns"],
+    ids=[
+        "null_start", "numeric_features_path", "numeric_turns", "list_metadata", "null_turns",
+        "null_transcript", "null_speaker_id", "null_pair_id", "null_metadata_value", "huge_int_duration",
+        "bool_score", "string_score",
+    ],
 )
 def test_malformed_record_fails_with_parse_error(tmp_path, capsys, command, write, edit):
     manifest = tmp_path / "in.jsonl"
     write(manifest)
     _break_first_record(manifest, edit)
-    assert run(*command, manifest, "--out", "out.jsonl", "--out-dir", tmp_path) == 1
+    assert run(*command, manifest, "--out-dir", tmp_path) == 1
     assert "error[PARSE_ERROR]: line 1: " in capsys.readouterr().err
 
 
@@ -319,8 +344,16 @@ class TestGradcheckCommand:
         assert report["max_rel_err"] < 1e-4
         assert set(report["groups"]) == {"w_enc", "b_enc", "e_crit", "q", "w1", "b1", "w2", "b2"}
 
-    def test_corrupted_gradient_exits_nonzero_and_names_offender(self, tmp_path):
-        assert run("gradcheck", "--draws", 2, "--seed", 5, "--corrupt-group", "b_enc", "--out-dir", tmp_path) == 1
+    def test_corrupted_gradient_exits_nonzero_and_names_offender(self, tmp_path, monkeypatch):
+        backward_batch = scorer.backward_batch
+
+        def corrupt_b_enc(*args):
+            grads = backward_batch(*args)
+            grads.b_enc[...] += 1e-2
+            return grads
+
+        monkeypatch.setattr(scorer, "backward_batch", corrupt_b_enc)
+        assert run("gradcheck", "--draws", 2, "--seed", 5, "--out-dir", tmp_path) == 1
         report = json.loads((tmp_path / "gradcheck-report.json").read_text())
         assert report["passed"] is False
         assert report["worst_group"] == "b_enc"

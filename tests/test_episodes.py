@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import tempfile
 from pathlib import Path
 
@@ -9,13 +11,16 @@ from hypothesis import strategies as st
 
 from episcore import (
     Criterion,
+    Episode,
     PreferencePair,
     Turn,
     read_episodes,
     read_pairs,
+    read_segments,
     validate_episode,
     write_episodes,
     write_pairs,
+    write_segments,
 )
 from episcore.episodes import (
     NONFINITE_FEATURE,
@@ -25,12 +30,14 @@ from episcore.episodes import (
     TOO_MANY_TURNS,
     TURN_COUNT_MISMATCH,
     TURN_TOO_LONG,
+    Segment,
+    SegmentManifest,
     read_features,
     write_features,
 )
 from episcore.errors import DuplicateIdError, FeatureIOError, InvariantError, ManifestParseError
 
-from conftest import make_episode, make_pair, make_turn
+from conftest import D_IN, make_episode, make_pair, make_turn
 
 
 class TestValidateEpisode:
@@ -316,3 +323,72 @@ def test_manifest_round_trip_over_arbitrary_ids(ids, transcripts):
         path = Path(tmp) / "pairs.jsonl"
         write_pairs(pairs, path)
         assert read_pairs(path) == pairs
+
+
+def _leaves(value, path=()):
+    """Paths to every string and number inside a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [path]
+    return [leaf for k, v in items for leaf in _leaves(v, path + (k,))]
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__  # str, list or dict
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=5),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def written_manifests(tmp_path_factory):
+    """A pair, an episode and a segment manifest of two records each, with
+    their sidecars, and the reader of each; every one reads back cleanly."""
+    root = tmp_path_factory.mktemp("manifests")
+    write_pairs([make_pair("pair-0"), make_pair("pair-1")], root / "pairs.jsonl")
+    turns = [make_turn(speaker=f"spk-{i % 2}", start_s=5.0 * i, end_s=5.0 * i + 4.5) for i in range(2)]
+    write_episodes(
+        [Episode(f"ep-{i}", turns, "semi-wild", {"source": "grouped"}) for i in range(2)], root / "episodes.jsonl"
+    )
+    write_features(root / "seg.f32", np.zeros((1, D_IN), dtype=np.float32))
+    segments = [Segment(f"spk-{i}", float(i), i + 0.5, "yeah", "seg.f32") for i in range(2)]
+    write_segments(SegmentManifest(segments), root / "segments.jsonl")
+    readers = {"pairs.jsonl": read_pairs, "episodes.jsonl": read_episodes, "segments.jsonl": read_segments}
+    for name, reader in readers.items():
+        reader(root / name)
+    return root, readers
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_leaf_of_another_json_type_fails_with_parse_error(written_manifests, data):
+    root, readers = written_manifests
+    name = data.draw(st.sampled_from(sorted(readers)))
+    lines = (root / name).read_text().splitlines(keepends=True)
+    rec = json.loads(lines[0])
+    *parents, key = data.draw(st.sampled_from(_leaves(rec)))
+    holder = functools.reduce(operator.getitem, parents, rec)
+    old_type = _json_type(holder[key])
+    holder[key] = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != old_type))
+    edited = root / f"edited-{name}"
+    edited.write_text(json.dumps(rec) + "\n" + "".join(lines[1:]))
+    with pytest.raises(ManifestParseError) as info:
+        readers[name](edited)
+    assert info.value.line == 1

@@ -72,8 +72,16 @@ def test_finite_difference_agreement_per_mode(mode):
             assert worst < 1e-4, f"{name} rel err {worst}"
 
 
-def test_gradcheck_harness_detects_corruption():
-    report = run_gradcheck(n_draws=2, seed=7, corrupt_group="w1")
+def test_gradcheck_harness_detects_corruption(monkeypatch):
+    backward_batch = sc.backward_batch
+
+    def corrupt_w1(*args):
+        grads = backward_batch(*args)
+        grads.w1[...] += 1e-2
+        return grads
+
+    monkeypatch.setattr(sc, "backward_batch", corrupt_w1)
+    report = run_gradcheck(n_draws=2, seed=7)
     assert not report.passed
     assert report.worst_group == "w1"
 
