@@ -56,7 +56,7 @@ def _write_run_manifest(args: argparse.Namespace, out_dir: Path) -> None:
 
 
 def _write_training(out_dir: Path, scorer_cfg: scorer.ScorerConfig, result: training.TrainResult) -> Path:
-    write_jsonl((dataclasses.asdict(report) for report in result.history), out_dir / "history.jsonl")
+    write_jsonl((vars(report) for report in result.history), out_dir / "history.jsonl")
     best_path = out_dir / "best.ckpt"
     scorer.save_checkpoint(best_path, scorer_cfg, result.best_params)
     return best_path

@@ -286,16 +286,23 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
+def _reject_constant(token: str):
+    raise json.JSONDecodeError(f"{token} is not a number", token, 0)
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)  # NaN, Infinity, -Infinity are not numbers
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line; a line that
-    is not a JSON object raises PARSE_ERROR with its line number."""
+    is not a strict JSON object raises PARSE_ERROR with its line number."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
                 continue
             try:
-                rec = json.loads(raw)
+                rec = _DECODER.decode(raw)
             except json.JSONDecodeError as exc:
                 raise ManifestParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if not isinstance(rec, dict):
@@ -320,7 +327,7 @@ def _get(rec: dict, key: str, kind: type):
 
 
 @contextmanager
-def _record(kind: str, line: int | None):
+def _record(kind: str, line: int):
     """A KeyError, TypeError, ValueError or OverflowError (an int too large
     for a float) raised while parsing one record is PARSE_ERROR at ``line``."""
     try:
@@ -336,10 +343,6 @@ def _claim_id(seen: set[str], owner_id: str, kind: str, line: int | None = None)
     if owner_id in seen:
         raise DuplicateIdError(f"duplicate {kind} {owner_id!r}", line=line)
     seen.add(owner_id)
-
-
-def _features_dir_for(path: Path) -> Path:
-    return path.parent / (path.stem + "_features")
 
 
 def _sidecar_name(owner_id: str, index: int) -> str:
@@ -364,12 +367,12 @@ def _turn_record(turn: Turn, features_path: str) -> dict:
 
 
 def _episode_record(ep: Episode, manifest_path: Path, owner_prefix: str) -> dict:
-    features_dir = _features_dir_for(manifest_path)
+    features_dir = f"{manifest_path.stem}_features"
     turns = []
     for i, turn in enumerate(ep.turns):
-        rel = Path(features_dir.name) / _sidecar_name(owner_prefix, i)
+        rel = f"{features_dir}/{_sidecar_name(owner_prefix, i)}"
         write_features(manifest_path.parent / rel, turn.features)
-        turns.append(_turn_record(turn, rel.as_posix()))
+        turns.append(_turn_record(turn, rel))
     return {
         "episode_id": ep.episode_id,
         "metadata": {k: ep.metadata[k] for k in sorted(ep.metadata)},
@@ -521,19 +524,20 @@ def write_segments(manifest: SegmentManifest, path: str | Path) -> None:
 
 
 def read_segments(path: str | Path) -> SegmentManifest:
-    """Read a raw segment manifest; feature paths resolve against it."""
-    path = Path(path)
-    records = []
+    """Read a raw segment manifest; feature paths join onto its directory.
+    The first record that starts before its predecessor is PARSE_ERROR."""
+    base_dir = os.path.dirname(path)
+    records: list[Segment] = []
     for lineno, rec in read_jsonl(path):
         with _record("segment record", lineno):
-            records.append(
-                Segment(
-                    speaker_id=_get(rec, "speaker_id", str),
-                    start_s=_get(rec, "start_s", float),
-                    end_s=_get(rec, "end_s", float),
-                    transcript=_get(rec, "transcript", str),
-                    features_path=str((path.parent / _get(rec, "features_path", str)).resolve()),
-                )
+            seg = Segment(
+                speaker_id=_get(rec, "speaker_id", str),
+                start_s=_get(rec, "start_s", float),
+                end_s=_get(rec, "end_s", float),
+                transcript=_get(rec, "transcript", str),
+                features_path=os.path.join(base_dir, _get(rec, "features_path", str)),
             )
-    with _record("segment manifest", None):
-        return SegmentManifest(records)
+            if records and seg.start_s < records[-1].start_s:
+                raise ValueError("segment records must be sorted by start_s")
+        records.append(seg)
+    return SegmentManifest(records)

@@ -203,19 +203,13 @@ def build_report(scored: list[ScoredPair]) -> EvalReport:
     for subset, members in sorted(per_subset.items()):
         counts[subset] = len(members)
         per_subset_acc[subset] = pairwise_accuracy(members)
-    aggs = aggregate(per_subset_acc, counts)
-    stats = distribution_stats(scored)
     chosen = np.array([s.r_chosen for s in scored])
     rejected = np.array([s.r_rejected for s in scored])
     return EvalReport(
         counts=counts,
         per_subset_acc=per_subset_acc,
-        modality_micro=aggs.modality_micro,
-        modality_macro=aggs.modality_macro,
-        colloq_acc=aggs.colloq_acc,
-        overall_micro=aggs.overall_micro,
-        overall_macro=aggs.overall_macro,
-        per_subset_margin={k: v["margin"] for k, v in stats.items()},
+        **asdict(aggregate(per_subset_acc, counts)),
+        per_subset_margin={k: v["margin"] for k, v in distribution_stats(scored).items()},
         mean_chosen=float(chosen.mean()),
         mean_rejected=float(rejected.mean()),
         drift=float((chosen + rejected).mean()),
@@ -249,33 +243,21 @@ def format_percent(fraction: float) -> str:
     return str(Decimal(repr(fraction * 100.0)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-ACCURACY_CSV_COLUMNS = (
-    "wild",
-    "semi_wild",
-    "scripted",
-    "modality_micro",
-    "modality_macro",
-    "colloq_acc",
-    "overall_micro",
-    "overall_macro",
-)
-
-
 def report_csv(report: EvalReport) -> str:
     """One CSV row of accuracies (percent, two decimals) in the standard
     benchmark column order."""
-    values = [
-        report.per_subset_acc["wild"],
-        report.per_subset_acc["semi-wild"],
-        report.per_subset_acc["scripted"],
-        report.modality_micro,
-        report.modality_macro,
-        report.colloq_acc,
-        report.overall_micro,
-        report.overall_macro,
-    ]
+    columns = {
+        "wild": report.per_subset_acc["wild"],
+        "semi_wild": report.per_subset_acc["semi-wild"],
+        "scripted": report.per_subset_acc["scripted"],
+        "modality_micro": report.modality_micro,
+        "modality_macro": report.modality_macro,
+        "colloq_acc": report.colloq_acc,
+        "overall_micro": report.overall_micro,
+        "overall_macro": report.overall_macro,
+    }
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ACCURACY_CSV_COLUMNS)
-    writer.writerow([format_percent(v) for v in values])
+    writer.writerow(columns.keys())
+    writer.writerow([format_percent(v) for v in columns.values()])
     return buf.getvalue()

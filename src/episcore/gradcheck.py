@@ -23,9 +23,9 @@ DEFAULT_TOL = 1e-4
 REL_ERR_FLOOR = 1e-4
 
 
-def relative_error(analytic, numeric, floor: float = REL_ERR_FLOOR):
-    """|analytic - numeric| / max(|analytic|, |numeric|, floor), elementwise."""
-    return np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+def relative_error(analytic, numeric):
+    """|analytic - numeric| / max(|analytic|, |numeric|, REL_ERR_FLOOR), elementwise."""
+    return np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_ERR_FLOOR)
 
 
 def numerical_gradient(f, params: ScorerParams, h: float = DEFAULT_STEP) -> ScorerParams:

@@ -17,11 +17,12 @@ sequence is pooled (last / mean / attention), and a one-hidden-layer tanh
 MLP maps the pooled vector to a scalar reward.
 
 Scoring takes one input type, a ragged :class:`EpisodeBatch`:
-:func:`pack_episodes` packs the sequences of many episodes into one,
+:func:`pack_episodes`, the one statement of the layout above, packs the
+sequences of many episodes into one (segment starts derive from lengths),
 :func:`score_batch` scores them all in one forward pass, and
-:func:`backward_batch` produces exact reverse-mode gradients of any
-weighted sum of their rewards w.r.t. every parameter tensor, which the
-test suite verifies against central finite differences. :func:`score` and
+:func:`backward_batch` produces exact gradients of any weighted sum of
+their rewards w.r.t. every parameter tensor, which the test suite
+verifies against central finite differences. :func:`score` and
 :func:`backward` are the same code on a batch of one; their
 :class:`Activations` hold the encoded rows (``h``) and the pooled vector.
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -169,26 +170,9 @@ def token_embedding(token: str, d_in: int) -> np.ndarray:
     return vec
 
 
-def _input_row_count(episode: Episode, cfg: ScorerConfig) -> int:
-    """Number of rows :func:`episode_input_matrix` returns for ``episode``."""
-    return sum(len(tokenize(t.transcript)) + min(t.n_frames, cfg.max_frames_per_turn) for t in episode.turns)
-
-
 def episode_input_matrix(episode: Episode, cfg: ScorerConfig) -> np.ndarray:
-    """Stack the non-criterion input frames of an episode, in layout order."""
-    rows = []
-    for turn in episode.turns:
-        if turn.d_in != cfg.d_in:
-            raise ShapeMismatchError(
-                f"turn features have d_in={turn.d_in}, config expects {cfg.d_in}"
-            )
-        for tok in tokenize(turn.transcript):
-            rows.append(token_embedding(tok, cfg.d_in))
-        frames = turn.features[: cfg.max_frames_per_turn]
-        rows.append(np.asarray(frames, dtype=np.float64))
-    if not rows:
-        return np.zeros((0, cfg.d_in))
-    return np.vstack(rows).astype(np.float64, copy=False)
+    """The non-criterion input rows of an episode, in layout order."""
+    return pack_episodes([episode], [Criterion.MODALITY], cfg).x[1:]
 
 
 def _segment_starts(lengths: np.ndarray) -> np.ndarray:
@@ -202,15 +186,19 @@ class EpisodeBatch:
     Episode i owns the segment ``x[starts[i] : starts[i] + lengths[i]]``.
     The segment's first row is a zero placeholder at the position of the
     criterion row (the encoder output there is replaced by the criterion
-    embedding); the rest are the episode's :func:`episode_input_matrix`
-    rows. So every segment has at least one row, and lengths[i] is the
-    episode's sequence length L.
+    embedding); the rest are the episode's input rows in the layout of
+    :func:`pack_episodes`. So every segment has at least one row, and
+    lengths[i] is the episode's sequence length L. ``starts`` is derived
+    from ``lengths``, so the two cannot disagree.
     """
 
     x: np.ndarray         # (R, d_in) float64, R = lengths.sum()
-    starts: np.ndarray    # (B,) first row of each segment
     lengths: np.ndarray   # (B,) rows per segment, >= 1
     criteria: np.ndarray  # (B,) criterion-embedding row of each episode
+    starts: np.ndarray = field(init=False)  # (B,) first row of each segment
+
+    def __post_init__(self):
+        self.starts = _segment_starts(self.lengths)
 
     def __len__(self) -> int:
         return int(self.lengths.size)
@@ -219,23 +207,33 @@ class EpisodeBatch:
         """The batch of episodes ``index`` (in that order), rows gathered by index."""
         index = np.asarray(index, dtype=np.intp)
         lengths = self.lengths[index]
-        starts = _segment_starts(lengths)
-        rows = np.repeat(self.starts[index] - starts, lengths) + np.arange(int(lengths.sum()))
-        return EpisodeBatch(self.x[rows], starts, lengths, self.criteria[index])
+        rows = np.repeat(self.starts[index] - _segment_starts(lengths), lengths) + np.arange(int(lengths.sum()))
+        return EpisodeBatch(self.x[rows], lengths, self.criteria[index])
 
 
 def pack_episodes(episodes: list[Episode], criteria: list[Criterion], cfg: ScorerConfig) -> EpisodeBatch:
     """Pack episodes (each scored under its criterion) into one batch.
 
-    Two passes over the episodes: count each one's rows, then copy its
-    input matrix into its slice of a single preallocated matrix.
+    The one statement of the sequence layout. In one pass, each episode
+    contributes its zero placeholder row, then per turn its token rows and
+    its first ``max_frames_per_turn`` frames; one concatenation makes ``x``.
     """
-    lengths = np.array([1 + _input_row_count(ep, cfg) for ep in episodes], dtype=np.intp)
-    starts = _segment_starts(lengths)
-    x = np.zeros((int(lengths.sum()), cfg.d_in))
-    for ep, start, length in zip(episodes, starts, lengths):
-        x[start + 1 : start + length] = episode_input_matrix(ep, cfg)
-    return EpisodeBatch(x, starts, lengths, np.array([c.index for c in criteria], dtype=np.intp))
+    placeholder = np.zeros((1, cfg.d_in))
+    blocks, lengths = [np.zeros((0, cfg.d_in))], []  # the first block keeps an empty batch (0, d_in)
+    for ep in episodes:
+        blocks.append(placeholder)
+        lengths.append(1)
+        for turn in ep.turns:
+            if turn.d_in != cfg.d_in:
+                raise ShapeMismatchError(f"turn features have d_in={turn.d_in}, config expects {cfg.d_in}")
+            tokens = [token_embedding(tok, cfg.d_in) for tok in tokenize(turn.transcript)]
+            if tokens:
+                blocks.append(np.array(tokens))
+            frames = turn.features[: cfg.max_frames_per_turn]
+            blocks.append(frames)
+            lengths[-1] += len(tokens) + len(frames)
+    x = np.concatenate(blocks, dtype=np.float64)
+    return EpisodeBatch(x, np.array(lengths, dtype=np.intp), np.array([c.index for c in criteria], dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,13 @@ def score_pairs(
     return r[0], r[1]
 
 
+def _objective(r_chosen: np.ndarray, r_rejected: np.ndarray, lambda_center: float) -> tuple[float, float, float]:
+    """(total, ranking term, centering term) of the objective above."""
+    loss_pref = float(np.mean(bt_loss(r_chosen, r_rejected)))
+    loss_center = float(np.mean(center_loss(r_chosen, r_rejected)))
+    return loss_pref + lambda_center * loss_center, loss_pref, loss_center
+
+
 def total_loss(
     batch: EpisodeBatch, cfg: ScorerConfig, params: ScorerParams, lambda_center: float = 1e-2
 ) -> BatchLoss:
@@ -172,15 +179,12 @@ def total_loss(
     """
     if len(batch) == 0:
         raise EmptyBatchError("cannot compute a loss over an empty batch")
-    n = len(batch) // 2
     acts = scorer.score_batch(batch, cfg, params)
-    r_chosen, r_rejected = acts.r[:n], acts.r[n:]
-    delta = r_chosen - r_rejected
-    sig = _sigmoid(-delta)  # = 1 - sigmoid(delta), the miss probability
+    r_chosen, r_rejected = acts.r.reshape(2, -1)
+    n = r_chosen.size
+    sig = _sigmoid(r_rejected - r_chosen)  # = 1 - sigmoid(r+ - r-), the miss probability
     ssum = r_chosen + r_rejected
-    loss_pref = float(np.mean(bt_loss(r_chosen, r_rejected)))
-    loss_center = float(np.mean(center_loss(r_chosen, r_rejected)))
-    value = loss_pref + lambda_center * loss_center
+    value, loss_pref, loss_center = _objective(r_chosen, r_rejected, lambda_center)
     up_c = (-sig + 2.0 * lambda_center * ssum) / n
     up_r = (sig + 2.0 * lambda_center * ssum) / n
     grads = scorer.backward_batch(acts, np.concatenate([up_c, up_r]), cfg, params)
@@ -262,9 +266,7 @@ def evaluate_loss(
     """(total loss, pairwise accuracy) on the held-out :func:`pair_chunks`
     ``chunks``, forward only."""
     rc, rr = score_pairs(chunks, cfg, params)
-    loss = float(np.mean(bt_loss(rc, rr))) + lambda_center * float(np.mean(center_loss(rc, rr)))
-    acc = float(np.mean(rc > rr))
-    return loss, acc
+    return _objective(rc, rr, lambda_center)[0], float(np.mean(rc > rr))
 
 
 CHECKPOINT_WINDOW = 20

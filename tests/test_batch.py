@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import episcore.scorer as sc
 from episcore import Criterion, Episode, ScorerConfig, Turn, init_params, synth_config, synth_pairs, total_loss
 from episcore.gradcheck import relative_error
-from episcore.training import SCORE_CHUNK, pack_pairs, pair_chunks, score_pairs, take_pairs
+from episcore.training import SCORE_CHUNK, evaluate_loss, pack_pairs, pair_chunks, score_pairs, take_pairs
 
 VOCAB = ["yeah", "so", "okay", "right", "well", "um"]
 
@@ -60,6 +60,23 @@ def test_take_gathers_the_same_rows_as_packing_those_episodes():
         assert np.array_equal(getattr(taken, field), getattr(packed, field)), field
 
 
+def test_take_composes_and_starts_derive_from_lengths():
+    pairs = synth_pairs(synth_config(seed=3), 5)
+    cfg = ScorerConfig(d_in=8, max_frames_per_turn=5)
+    packed = sc.pack_episodes([p.chosen for p in pairs], [p.criterion for p in pairs], cfg)
+    twice = packed.take([4, 1, 3, 0]).take([2, 0, 2, 1])
+    once = packed.take([3, 4, 3, 1])
+    for field in ("x", "starts", "lengths", "criteria"):
+        assert np.array_equal(getattr(twice, field), getattr(once, field)), field
+    for batch in (packed, twice):
+        assert np.array_equal(batch.starts, np.cumsum(batch.lengths) - batch.lengths)
+
+
+def test_packing_no_episodes_gives_an_empty_batch():
+    batch = sc.pack_episodes([], [], ScorerConfig(d_in=6))
+    assert len(batch) == 0 and batch.x.shape == (0, 6)
+
+
 @pytest.mark.parametrize("mode", sc.POOLING_MODES)
 def test_loss_gradients_of_a_gathered_batch_match_finite_differences(mode):
     cfg = ScorerConfig(d_in=8, d=3, pooling=mode, head_hidden=3)
@@ -93,6 +110,15 @@ def test_same_batch_composition_gives_bitwise_identical_loss(mode):
     assert np.array_equal(a.r_chosen, b.r_chosen) and np.array_equal(a.r_rejected, b.r_rejected)
     for name in sc.PARAM_FIELDS:
         assert np.array_equal(getattr(a.grads, name), getattr(b.grads, name)), name
+
+
+@pytest.mark.parametrize("n_pairs", [1, 7, SCORE_CHUNK])
+def test_validation_loss_of_one_chunk_is_the_trained_loss_bitwise(n_pairs):
+    cfg = ScorerConfig(d_in=8, pooling="attention")
+    params = init_params(cfg, seed=3)
+    pairs = synth_pairs(synth_config(seed=6), n_pairs)
+    val_loss, _ = evaluate_loss(pair_chunks(pairs, cfg), cfg, params, 0.1)
+    assert val_loss == total_loss(pack_pairs(pairs, cfg), cfg, params, lambda_center=0.1).value
 
 
 def test_scoring_a_list_and_its_pack_agree_bitwise():

@@ -287,13 +287,15 @@ STRATIFY = ["pipeline", "stratify", "--out", "out.jsonl", "--in"]
         (STRATIFY, _write_pair_manifest, lambda rec: rec.update(pair_id=None)),
         (STRATIFY, _write_pair_manifest, lambda rec: rec["chosen"]["metadata"].update(secondary_dimension=None)),
         (STRATIFY, _write_pair_manifest, lambda rec: rec["chosen"]["turns"][0].update(duration_s=10**400)),
+        (STRATIFY, _write_pair_manifest, lambda rec: rec["chosen"]["turns"][0].update(duration_s=float("nan"))),
+        (GROUP, _write_segment_manifest, lambda rec: rec.update(start_s=float("nan"))),
         (["eval", "--scores"], _write_score_file, lambda rec: rec.update(r_chosen=True)),
         (["eval", "--scores"], _write_score_file, lambda rec: rec.update(r_rejected="0.5")),
     ],
     ids=[
         "null_start", "numeric_features_path", "numeric_turns", "list_metadata", "null_turns",
         "null_transcript", "null_speaker_id", "null_pair_id", "null_metadata_value", "huge_int_duration",
-        "bool_score", "string_score",
+        "nan_duration", "nan_start", "bool_score", "string_score",
     ],
 )
 def test_malformed_record_fails_with_parse_error(tmp_path, capsys, command, write, edit):
@@ -302,6 +304,15 @@ def test_malformed_record_fails_with_parse_error(tmp_path, capsys, command, writ
     _break_first_record(manifest, edit)
     assert run(*command, manifest, "--out-dir", tmp_path) == 1
     assert "error[PARSE_ERROR]: line 1: " in capsys.readouterr().err
+
+
+def test_unsorted_segments_fail_with_the_line_of_the_first_one_out_of_order(tmp_path, capsys):
+    write_features(tmp_path / "seg.f32", np.zeros((1, 4), dtype=np.float32))
+    segments = [Segment("a", 2.0, 3.0, "yeah", "seg.f32"), Segment("b", 0.0, 1.0, "okay", "seg.f32")]
+    manifest = tmp_path / "in.jsonl"
+    manifest.write_text("".join(json.dumps(vars(seg)) + "\n" for seg in segments))
+    assert run(*GROUP, manifest, "--out-dir", tmp_path) == 1
+    assert "error[PARSE_ERROR]: line 2: " in capsys.readouterr().err
 
 
 class TestAgreementCommand:
