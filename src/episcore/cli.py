@@ -181,7 +181,10 @@ def cmd_agreement(args) -> int:
                 row = (cells["subset"], int(cells["count"]), float(cells["avg_margin"]), float(cells["agree_rate"]))
                 evaluation.AgreementRow(*row)  # range checks
             rows.append(row)
-    per_subset, overall = evaluation.agreement_stats(rows)
+    try:
+        per_subset, overall = evaluation.agreement_stats(rows)
+    except ValueError as exc:  # the count-weighted overall row, e.g. a margin sum that overflows
+        raise ManifestParseError(f"{args.rows}: overall row: {exc}") from exc
     out_dir = Path(args.out_dir)
     payload = {
         "rows": [dataclasses.asdict(r) for r in per_subset],
@@ -262,6 +265,17 @@ def cmd_e2e(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts: an integer >= 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--out-dir", default=".", help="directory for outputs and run-manifest.json")
     if seed:
@@ -280,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic planted-signature preference pairs")
     p.add_argument("--config", help="flat key-value synthesis config file")
-    p.add_argument("--n", type=int, required=True, help="number of pairs")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of pairs")
     p.add_argument("--out", required=True, help="output pair manifest (JSONL)")
     p.add_argument("--split", default="train", choices=("train", "val", "bench"))
     _add_common(p)
@@ -306,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = pipe_sub.add_parser("stratify", help="balanced per-bucket benchmark sampling")
     p.add_argument("--in", dest="input", required=True, help="input pair manifest")
-    p.add_argument("--cap", type=int, default=50, help="per-bucket retention cap")
+    p.add_argument("--cap", type=_positive_int, default=50, help="per-bucket retention cap")
     p.add_argument("--out", required=True, help="output benchmark pair manifest")
     p.add_argument("--train-ids", help="file of train pair ids to exclude (one per line)")
     _add_common(p)
@@ -338,19 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_agreement)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of the scorer gradients")
-    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--draws", type=_positive_int, default=100)
     p.add_argument("--tol", type=float, default=gradcheck.DEFAULT_TOL)
     p.add_argument("--out", default="gradcheck-report.json")
     _add_common(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("e2e", help="synth -> train -> score -> eval in one seeded run")
-    p.add_argument("--n-train", type=int, default=800)
-    p.add_argument("--n-val", type=int, default=200)
-    p.add_argument("--steps", type=int, default=training.TrainConfig.total_steps)
+    p.add_argument("--n-train", type=_positive_int, default=800)
+    p.add_argument("--n-val", type=_positive_int, default=200)
+    p.add_argument("--steps", type=_positive_int, default=training.TrainConfig.total_steps)
     p.add_argument("--lambda-center", type=float, default=training.TrainConfig.lambda_center)
     p.add_argument("--noise-std", type=float, default=pipeline.SynthConfig.noise_std)
-    p.add_argument("--d-in", type=int, default=scorer.ScorerConfig.d_in)
+    p.add_argument("--d-in", type=_positive_int, default=scorer.ScorerConfig.d_in)
     p.add_argument("--pooling", default=scorer.ScorerConfig.pooling, choices=scorer.POOLING_MODES)
     _add_common(p)
     p.set_defaults(func=cmd_e2e)

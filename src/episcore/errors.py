@@ -71,10 +71,6 @@ class ShapeMismatchError(EpiscoreError):
     code = "SHAPE_MISMATCH"
 
 
-class StaleCacheError(EpiscoreError):
-    code = "STALE_CACHE"
-
-
 class EmptyBatchError(EpiscoreError):
     code = "EMPTY_BATCH"
 

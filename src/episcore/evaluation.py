@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodes import MODALITY_TIERS, SOURCE_TIERS, _get, _record, read_jsonl, write_jsonl
+from .episodes import MODALITY_TIERS, SOURCE_TIERS, _claim_id, _get, _record, read_jsonl, write_jsonl
 from .errors import EmptySetError, MissingSubsetError
 
 COLLOQUIAL = "colloquial"
@@ -132,6 +132,8 @@ class AgreementRow:
             raise ValueError("count must be positive")
         if not 0 <= self.agree_rate <= 1:
             raise ValueError("agree_rate must be a fraction in [0, 1]")
+        if not math.isfinite(self.avg_margin):
+            raise ValueError("avg_margin must be finite")
         self.se = math.sqrt(self.agree_rate * (1.0 - self.agree_rate) / self.count)
 
 
@@ -231,10 +233,13 @@ def write_scores(scored: list[ScoredPair], path: str | Path) -> None:
 
 
 def read_scores(path: str | Path) -> list[ScoredPair]:
-    scored = []
+    """The score records of ``path``; a ``pair_id`` seen on an earlier line
+    is DUPLICATE_ID with its line number."""
+    scored, seen = [], set()
     for lineno, rec in read_jsonl(path):
         with _record("score record", lineno):
             scored.append(ScoredPair(**{k: _get(rec, k, kind) for k, kind in _SCORE_FIELDS.items()}))
+        _claim_id(seen, scored[-1].pair_id, "pair_id", lineno)
     return scored
 
 

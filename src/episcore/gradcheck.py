@@ -119,7 +119,7 @@ def run_gradcheck(
         for mode in POOLING_MODES:
             mode_cfg = replace(cfg, pooling=mode)
             acts = scorer.score_batch(batch, mode_cfg, params)
-            analytic = scorer.backward_batch(acts, np.ones(1), mode_cfg, params)
+            analytic = scorer.backward_batch(acts, np.ones(1))
             numeric = numerical_gradient(lambda p: scorer.score_batch(batch, mode_cfg, p).r[0], params, h=h)
             for name in PARAM_FIELDS:
                 err = relative_error(getattr(analytic, name), getattr(numeric, name)).reshape(-1)

@@ -313,6 +313,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.d_in < 1:
+            raise ValueError("d_in must be >= 1")
         if self.signature is None:
             self.signature = default_signature(self.d_in)
         self.signature = np.asarray(self.signature, dtype=np.float64)

@@ -22,9 +22,11 @@ sequences of many episodes into one (segment starts derive from lengths),
 :func:`score_batch` scores them all in one forward pass, and
 :func:`backward_batch` produces exact gradients of any weighted sum of
 their rewards w.r.t. every parameter tensor, which the test suite
-verifies against central finite differences. :func:`score` and
-:func:`backward` are the same code on a batch of one; their
-:class:`Activations` hold the encoded rows (``h``) and the pooled vector.
+verifies against central finite differences. Backward takes only what
+the forward pass produced: its :class:`Activations` hold the encoded rows
+(``h``), the pooled vector, the pooling mode and the params that scored,
+and the gradients are taken at those params. :func:`score` and
+:func:`backward` are the same code on a batch of one.
 
 Parameters and gradients each live in one float64 vector whose named
 tensors are views of it (:class:`ScorerParams`).
@@ -48,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .episodes import Criterion, Episode
-from .errors import CheckpointError, ShapeMismatchError, StaleCacheError
+from .errors import CheckpointError, ShapeMismatchError
 
 POOLING_MODES = ("last", "mean", "attention")
 _POOLING_CODE = {"last": 0, "mean": 1, "attention": 2}
@@ -144,10 +146,9 @@ def clone_params(params: ScorerParams) -> ScorerParams:
 
 
 def check_shapes(cfg: ScorerConfig, params: ScorerParams) -> None:
-    for name, want in param_shapes(cfg).items():
-        got = getattr(params, name).shape
-        if got != want:
-            raise ShapeMismatchError(f"params.{name} has shape {got}, config expects {want}")
+    want = param_shapes(cfg)
+    if params.shapes != want:
+        raise ShapeMismatchError(f"params have shapes {params.shapes}, config expects {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +252,8 @@ class Activations:
     pooled: np.ndarray       # (B, d)
     a1: np.ndarray           # (B, head_hidden) head hidden activation
     r: np.ndarray            # (B,) rewards
-    pooling: str
-    params: ScorerParams     # identity tag; backward_batch() rejects stale caches
+    pooling: str             # the pooling mode that scored
+    params: ScorerParams     # the params that scored; backward_batch() differentiates at them
 
 
 def _encode(batch: EpisodeBatch, cfg: ScorerConfig, params: ScorerParams) -> np.ndarray:
@@ -320,21 +321,15 @@ def score(
 # ---------------------------------------------------------------------------
 
 
-def backward_batch(acts: Activations, upstream: np.ndarray, cfg: ScorerConfig, params: ScorerParams) -> ScorerParams:
-    """Exact gradients of sum_i upstream[i] * r_i w.r.t. every parameter tensor.
-
-    ``acts`` must come from a forward pass with the same params object and
-    pooling mode; anything else raises STALE_CACHE rather than silently
-    producing wrong gradients.
-    """
-    if acts.params is not params:
-        raise StaleCacheError("activations were produced by a different params object")
-    if acts.pooling != cfg.pooling:
-        raise StaleCacheError(
-            f"activations were produced with {acts.pooling!r} pooling, config says {cfg.pooling!r}"
-        )
+def backward_batch(acts: Activations, upstream: np.ndarray) -> ScorerParams:
+    """Exact gradients of sum_i upstream[i] * r_i w.r.t. every parameter
+    tensor, taken at the params that scored ``acts`` (``acts.params``),
+    under the pooling they were scored with (``acts.pooling``). The params
+    are held, not copied: a caller moves on by making new params (as
+    :func:`episcore.training.optimizer_step` does), never by writing into
+    these ones between the two passes."""
     u = np.asarray(upstream, dtype=np.float64)
-    batch, h = acts.batch, acts.h
+    batch, h, params = acts.batch, acts.h, acts.params
     starts, lengths = batch.starts, batch.lengths
 
     grads = zeros_like_params(params)
@@ -378,9 +373,9 @@ def backward_batch(acts: Activations, upstream: np.ndarray, cfg: ScorerConfig, p
     return grads
 
 
-def backward(acts: Activations, upstream: float, cfg: ScorerConfig, params: ScorerParams) -> ScorerParams:
+def backward(acts: Activations, upstream: float) -> ScorerParams:
     """Exact gradients of (upstream * r) for the batch of one from :func:`score`."""
-    return backward_batch(acts, np.full(acts.r.shape, float(upstream)), cfg, params)
+    return backward_batch(acts, np.full(acts.r.shape, float(upstream)))
 
 
 # ---------------------------------------------------------------------------

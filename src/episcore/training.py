@@ -11,8 +11,8 @@ second, centering term exists: it anchors the score scale near zero so
 domain shifts cannot drift the rewards without bound.
 
 A batch is scored in one ragged forward pass (:func:`episcore.scorer.score_batch`)
-and gradients flow back in one pass (:func:`episcore.scorer.backward_batch`)
-with the per-pair upstreams
+and gradients flow back in one pass (:func:`episcore.scorer.backward_batch`),
+taken at the params that scored the batch, with the per-pair upstreams
 
     dL/dr+ = (1/n) * (-sigmoid(-(r+ - r-)) + 2 lambda (r+ + r-))
     dL/dr- = (1/n) * (+sigmoid(-(r+ - r-)) + 2 lambda (r+ + r-))
@@ -63,6 +63,8 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
+        if min(self.total_steps, self.batch_size, self.eval_every) < 1:
+            raise ValueError("total_steps, batch_size and eval_every must be >= 1")
         if self.lambda_center < 0:
             raise ValueError("lambda_center must be >= 0")
         if not 0 <= self.warmup_frac < 1:
@@ -187,7 +189,7 @@ def total_loss(
     value, loss_pref, loss_center = _objective(r_chosen, r_rejected, lambda_center)
     up_c = (-sig + 2.0 * lambda_center * ssum) / n
     up_r = (sig + 2.0 * lambda_center * ssum) / n
-    grads = scorer.backward_batch(acts, np.concatenate([up_c, up_r]), cfg, params)
+    grads = scorer.backward_batch(acts, np.concatenate([up_c, up_r]))
     return BatchLoss(value, loss_pref, loss_center, grads, r_chosen, r_rejected)
 
 

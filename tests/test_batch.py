@@ -40,12 +40,12 @@ def test_batched_scores_and_gradients_match_batch_of_one(case, seed):
         cfg = ScorerConfig(d_in=d_in, d=5, pooling=mode, head_hidden=4, max_frames_per_turn=max_frames)
         params = init_params(cfg, seed=seed)
         acts = sc.score_batch(sc.pack_episodes(episodes, criteria, cfg), cfg, params)
-        grads = sc.backward_batch(acts, upstream, cfg, params)
+        grads = sc.backward_batch(acts, upstream)
         singles = []
         for ep, crit, u, r in zip(episodes, criteria, upstream, acts.r):
             r1, acts1 = sc.score(ep, crit, cfg, params)
             assert abs(r - r1) <= 1e-15
-            singles.append(sc.backward(acts1, u, cfg, params))
+            singles.append(sc.backward(acts1, u))
         for name in sc.PARAM_FIELDS:
             want = sum(getattr(g, name) for g in singles)
             np.testing.assert_allclose(getattr(grads, name), want, rtol=0, atol=1e-12, err_msg=name)

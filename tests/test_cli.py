@@ -164,6 +164,13 @@ class TestTrainScoreEval:
         assert run("eval", "--scores", tmp_path / "empty.jsonl", "--out-dir", tmp_path) == 1
         assert "EMPTY_SET" in capsys.readouterr().err
 
+    def test_eval_duplicate_score_id_fails(self, tmp_path, capsys):
+        scored = [ScoredPair(f"p{i}", 1.0, 0.0, tier, "modality") for i, tier in enumerate(SOURCE_TIERS)]
+        write_scores(scored + scored[:1], tmp_path / "scores.jsonl")
+        assert run("eval", "--scores", tmp_path / "scores.jsonl", "--out-dir", tmp_path) == 1
+        assert "error[DUPLICATE_ID]: line 5: duplicate pair_id 'p0'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_eval_reference_fixture_csv(self, tmp_path):
         # Score file realizing the first reference scorecard by counts.
         from episcore import ScoredPair
@@ -238,6 +245,31 @@ def test_missing_input_file_exits_with_io_error(tmp_path, capsys, argv):
     assert run(*argv, "--out-dir", tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[IO_ERROR]: ") and str(missing) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--n", "0", "--out", "p.jsonl"],
+        ["synth", "--n", "two", "--out", "p.jsonl"],
+        ["e2e", "--n-train", "0"],
+        ["e2e", "--n-val", "0"],
+        ["e2e", "--steps", "-3"],
+        ["e2e", "--d-in", "0"],
+        ["gradcheck", "--draws", "0"],
+        ["pipeline", "stratify", "--in", "pairs.jsonl", "--out", "b.jsonl", "--cap", "-1"],
+    ],
+    ids=[
+        "synth-n-zero", "synth-n-word", "e2e-n-train", "e2e-n-val", "e2e-steps", "e2e-d-in", "gradcheck-draws",
+        "stratify-cap",
+    ],
+)
+def test_count_flags_must_be_positive(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out-dir", tmp_path)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def _write_segment_manifest(path):
@@ -337,14 +369,26 @@ class TestAgreementCommand:
             ("subset,count,avg_margin,agree_rate\nlow,20,0.06,0.783\nhigh,abc,1.0,0.5\n", 3),
             ("subset,count,avg_margin,agree_rate\nhigh,0,1.0,0.5\n", 2),
             ("subset,count,avg_margin\nhigh,20,1.0\n", 2),
+            ("subset,count,avg_margin,agree_rate\nlow,20,0.06,0.783\nhigh,20,nan,0.5\n", 3),
+            ("subset,count,avg_margin,agree_rate\nhigh,20,inf,0.5\n", 2),
+            ("subset,count,avg_margin,agree_rate\nhigh,20,-Infinity,0.5\n", 2),
         ],
-        ids=["non_integer_count", "zero_count", "missing_column"],
+        ids=["non_integer_count", "zero_count", "missing_column", "nan_margin", "inf_margin", "minus_inf_margin"],
     )
     def test_bad_rows_fail_with_parse_error(self, tmp_path, capsys, text, line):
         rows = tmp_path / "rows.csv"
         rows.write_text(text)
         assert run("agreement", "--rows", rows, "--out-dir", tmp_path) == 1
         assert f"error[PARSE_ERROR]: line {line}: " in capsys.readouterr().err
+        assert not (tmp_path / "agreement.json").exists()
+
+    def test_overflowing_overall_margin_fails_with_parse_error(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("subset,count,avg_margin,agree_rate\nhigh,20,1e308,0.5\nlow,20,1e308,0.5\n")
+        assert run("agreement", "--rows", rows, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[PARSE_ERROR]: ") and "overall row: avg_margin must be finite" in err
+        assert not (tmp_path / "agreement.json").exists()
 
 
 class TestGradcheckCommand:
@@ -445,6 +489,9 @@ class TestConfigFiles:
             ("# scorer\npoolling = attention\n", "line 2: unknown config key 'poolling'"),
             ("d = 8\nd_in = abc\n", "line 2: bad value for 'd_in'"),
             ("pooling = attn\n", "ScorerConfig: unknown pooling 'attn'"),
+            ("eval_every = 0\n", "TrainConfig: total_steps, batch_size and eval_every must be >= 1"),
+            ("total_steps = 0\n", "TrainConfig: total_steps, batch_size and eval_every must be >= 1"),
+            ("batch_size = 0\n", "TrainConfig: total_steps, batch_size and eval_every must be >= 1"),
         ],
     )
     def test_bad_train_config_exits_with_parse_error(self, tmp_path, capsys, text, needle):
@@ -452,6 +499,13 @@ class TestConfigFiles:
         cfg.write_text(text)
         assert run("train", "--pairs", tmp_path / "none.jsonl", "--config", cfg, "--out-dir", tmp_path) == 1
         assert f"error[PARSE_ERROR]: {needle}" in capsys.readouterr().err
+
+    def test_zero_d_in_synth_config_exits_with_parse_error(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("d_in = 0\n")
+        assert run("synth", "--config", cfg, "--n", 3, "--out", "p.jsonl", "--out-dir", tmp_path) == 1
+        assert "error[PARSE_ERROR]: SynthConfig: d_in must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_words_per_turn_is_a_synth_key(self, tmp_path):
         cfg = tmp_path / "synth.cfg"

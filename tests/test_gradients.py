@@ -5,8 +5,8 @@ import pytest
 
 import episcore.scorer as sc
 from episcore import Criterion, ScorerConfig, backward, init_params, score
-from episcore.errors import StaleCacheError
 from episcore.gradcheck import numerical_gradient, random_case, relative_error, run_gradcheck
+from episcore.training import AdamState, TrainConfig, optimizer_step
 
 from conftest import make_episode
 
@@ -17,7 +17,7 @@ def test_b2_gradient_is_upstream():
     cfg = ScorerConfig(d_in=D_IN)
     params = init_params(cfg, seed=0)
     _, acts = score(make_episode(2), Criterion.MODALITY, cfg, params)
-    g = backward(acts, 3.25, cfg, params)
+    g = backward(acts, 3.25)
     assert g.b2[0] == 3.25
 
 
@@ -25,7 +25,7 @@ def test_attention_query_gradient_zero_under_mean_pooling():
     cfg = ScorerConfig(d_in=D_IN, pooling="mean")
     params = init_params(cfg, seed=0)
     _, acts = score(make_episode(4), Criterion.MODALITY, cfg, params)
-    g = backward(acts, 1.0, cfg, params)
+    g = backward(acts, 1.0)
     assert np.array_equal(g.q, np.zeros_like(g.q))
 
 
@@ -33,27 +33,23 @@ def test_unused_criterion_row_gets_zero_gradient():
     cfg = ScorerConfig(d_in=D_IN)
     params = init_params(cfg, seed=0)
     _, acts = score(make_episode(2), Criterion.MODALITY, cfg, params)
-    g = backward(acts, 1.0, cfg, params)
+    g = backward(acts, 1.0)
     assert np.array_equal(g.e_crit[1], np.zeros(cfg.d))
     assert not np.array_equal(g.e_crit[0], np.zeros(cfg.d))
 
 
-def test_stale_cache_rejected():
-    cfg = ScorerConfig(d_in=D_IN)
+@pytest.mark.parametrize("mode", sc.POOLING_MODES)
+def test_gradients_are_taken_at_the_params_that_scored(mode):
+    cfg = ScorerConfig(d_in=D_IN, pooling=mode)
     params = init_params(cfg, seed=0)
-    _, acts = score(make_episode(2), Criterion.MODALITY, cfg, params)
-    other = sc.clone_params(params)
-    with pytest.raises(StaleCacheError):
-        backward(acts, 1.0, cfg, other)
-
-
-def test_pooling_mode_mismatch_rejected():
-    cfg = ScorerConfig(d_in=D_IN, pooling="mean")
-    params = init_params(cfg, seed=0)
-    _, acts = score(make_episode(2), Criterion.MODALITY, cfg, params)
-    attn_cfg = ScorerConfig(d_in=D_IN, pooling="attention")
-    with pytest.raises(StaleCacheError):
-        backward(acts, 1.0, attn_cfg, params)
+    batch = sc.pack_episodes([make_episode(2), make_episode(4)], [Criterion.MODALITY, Criterion.COLLOQUIALNESS], cfg)
+    upstream = np.array([0.75, -1.5])
+    acts = sc.score_batch(batch, cfg, params)
+    want = sc.backward_batch(sc.score_batch(batch, cfg, sc.clone_params(params)), upstream)
+    params = optimizer_step(params, want, AdamState.init(params), TrainConfig(), lr=0.1)  # the caller moves on
+    got = sc.backward_batch(acts, upstream)
+    assert np.array_equal(got.flat, want.flat)
+    assert not np.array_equal(got.flat, sc.backward_batch(sc.score_batch(batch, cfg, params), upstream).flat)
 
 
 @pytest.mark.parametrize("mode", sc.POOLING_MODES)
@@ -63,7 +59,7 @@ def test_finite_difference_agreement_per_mode(mode):
         cfg, params, episode, criterion = random_case(rng)
         cfg = ScorerConfig(cfg.d_in, cfg.d, mode, cfg.head_hidden, cfg.max_frames_per_turn)
         _, acts = score(episode, criterion, cfg, params)
-        analytic = backward(acts, 1.0, cfg, params)
+        analytic = backward(acts, 1.0)
         numeric = numerical_gradient(lambda p: score(episode, criterion, cfg, p)[0], params)
         for name in sc.PARAM_FIELDS:
             a = getattr(analytic, name).ravel()

@@ -75,6 +75,11 @@ class TestLayout:
         with pytest.raises(ShapeMismatchError):
             score(make_episode(2), Criterion.MODALITY, cfg, params)
 
+    def test_params_of_another_config_raise(self):
+        params = init_params(ScorerConfig(d_in=D_IN, d=6), seed=0)
+        with pytest.raises(ShapeMismatchError, match="config expects"):
+            score(make_episode(2), Criterion.MODALITY, ScorerConfig(d_in=D_IN), params)
+
 
 def pool_one(h, mode, params):
     """Pool the rows of ``h`` as one segment."""
