@@ -163,6 +163,13 @@ def cmd_eval(args) -> int:
                 raise ManifestParseError(
                     f"pair {s.pair_id}: subset {s.subset!r} does not match manifest tier {tier!r}"
                 )
+        if len(scored) < len(tiers):  # score ids are unique and all in the manifest, so some pair is unscored
+            scored_ids = {s.pair_id for s in scored}
+            missing = next(pair_id for pair_id in tiers if pair_id not in scored_ids)
+            raise ManifestParseError(
+                f"{args.scores} scores {len(scored)} of the {len(tiers)} pairs in {args.pairs}; "
+                f"first unscored pair: {missing}"
+            )
     out_dir = Path(args.out_dir)
     report = _write_report(out_dir, scored)
     print(
@@ -221,19 +228,25 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_e2e(args) -> int:
     out_dir = Path(args.out_dir)
-    synth_cfg = pipeline.synth_config(d_in=args.d_in, seed=args.seed, noise_std=args.noise_std)
+    # Every config is built and checked before the first write.
+    synth_cfg, scorer_cfg, train_cfg = configio.load(
+        None,
+        pipeline.SynthConfig,
+        scorer.ScorerConfig,
+        training.TrainConfig,
+        d_in=args.d_in,
+        noise_std=args.noise_std,
+        pooling=args.pooling,
+        total_steps=args.steps,
+        lambda_center=args.lambda_center,
+        seed=args.seed,
+    )
     train_pairs = pipeline.synth_pairs(synth_cfg, args.n_train, split="train")
     val_cfg = dataclasses.replace(synth_cfg, seed=synth_cfg.seed + 1)
     val_pairs = pipeline.synth_pairs(val_cfg, args.n_val, split="val")
     write_pairs(train_pairs, out_dir / "train.jsonl")
     write_pairs(val_pairs, out_dir / "val.jsonl")
 
-    scorer_cfg = scorer.ScorerConfig(d_in=args.d_in, pooling=args.pooling)
-    train_cfg = training.TrainConfig(
-        total_steps=args.steps,
-        lambda_center=args.lambda_center,
-        seed=args.seed,
-    )
     result = training.train(train_pairs, val_pairs, scorer_cfg, train_cfg, checkpoint_dir=out_dir / "checkpoints")
     _write_training(out_dir, scorer_cfg, result)
 
@@ -342,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="build accuracy/margin reports from a score file")
     p.add_argument("--scores", required=True, help="score file (JSONL)")
-    p.add_argument("--pairs", help="optional pair manifest to cross-check ids and subsets")
+    p.add_argument("--pairs", help="optional pair manifest; every one of its pairs must be scored, with its tier")
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_eval)
 

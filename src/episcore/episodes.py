@@ -1,9 +1,14 @@
 """Episode and preference-pair domain types, validation, and manifest IO.
 
 An episode is an ordered multi-turn dialogue between exactly two speakers.
-Per-turn feature matrices (the audio proxy) live in sidecar binary files
+Per-turn feature matrices (the audio proxy) live in binary feature files
 next to each manifest; the JSONL manifests themselves carry only metadata,
-which keeps them small and diffable.
+which keeps them small and diffable. A pair manifest keeps every turn's
+frames in one shard, ``<manifest file name>.f32``, and each turn record
+names its ``row`` and ``frames`` there. An episode manifest keeps one
+sidecar file per turn. A turn record without ``row``/``frames`` is all of
+its file, so both layouts, and pair manifests that still use per-turn
+sidecars, load through the same reader, which opens each file once.
 
 All types are plain immutable-by-convention dataclasses; none of them
 enforce the episode-level structural rules at construction time. Those
@@ -30,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateIdError, FeatureIOError, InvariantError, ManifestParseError
+from .errors import DuplicateIdError, FeatureIOError, InvariantError, ManifestParseError, ShapeMismatchError
 
 SOURCE_TIERS = ("wild", "semi-wild", "scripted", "colloquial")
 MODALITY_TIERS = ("wild", "semi-wild", "scripted")
@@ -236,14 +241,16 @@ def validate_pair(chosen: Episode, rejected: Episode) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Feature sidecar files: header = two little-endian uint64 (F, d_in),
-# followed by F * d_in little-endian float32 values, row-major.
+# Feature files (a per-turn sidecar or a manifest's shard): header = two
+# little-endian uint64 (rows, d_in), followed by rows * d_in little-endian
+# float32 values, row-major.
 # ---------------------------------------------------------------------------
 
 _SIDECAR_HEADER = struct.Struct("<QQ")
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
+    """Write a 2-D array as one feature file, creating its directory."""
     arr = np.ascontiguousarray(np.asarray(features, dtype="<f4"))
     if arr.ndim != 2:
         raise FeatureIOError(f"features must be 2-D, got shape {arr.shape}")
@@ -251,25 +258,30 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(_SIDECAR_HEADER.pack(arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
+        fh.write(arr)
 
 
 def read_features(path: str | Path) -> np.ndarray:
+    """Read a feature file into a writable ``(rows, d_in)`` float32 array.
+
+    The file size is checked against the header before the rows are read,
+    so the rows take one allocation. A missing, truncated or over-long file
+    is FEATURE_IO."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            if size < _SIDECAR_HEADER.size:
+                raise FeatureIOError(f"feature sidecar {path} is truncated (no header)")
+            n_frames, d_in = _SIDECAR_HEADER.unpack(fh.read(_SIDECAR_HEADER.size))
+            expected = _SIDECAR_HEADER.size + n_frames * d_in * 4
+            if size != expected:
+                raise FeatureIOError(
+                    f"feature sidecar {path}: expected {expected} bytes for ({n_frames}, {d_in}), got {size}"
+                )
+            flat = np.fromfile(fh, dtype="<f4", count=n_frames * d_in)
     except OSError as exc:
         raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}") from exc
-    if len(raw) < _SIDECAR_HEADER.size:
-        raise FeatureIOError(f"feature sidecar {path} is truncated (no header)")
-    n_frames, d_in = _SIDECAR_HEADER.unpack_from(raw)
-    expected = _SIDECAR_HEADER.size + n_frames * d_in * 4
-    if len(raw) != expected:
-        raise FeatureIOError(
-            f"feature sidecar {path}: expected {expected} bytes for ({n_frames}, {d_in}), got {len(raw)}"
-        )
-    flat = np.frombuffer(raw, dtype="<f4", offset=_SIDECAR_HEADER.size)
-    return flat.reshape(n_frames, d_in).copy()
+    return flat.reshape(n_frames, d_in)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +322,15 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, rec
 
 
-_JSON_TYPE_NAMES = {str: "a string", float: "a number", list: "an array", dict: "an object"}
+_JSON_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer", list: "an array", dict: "an object"}
 
 
 def _get(rec: dict, key: str, kind: type):
     """``rec[key]`` if its value has the JSON type ``kind``: ``str``,
-    ``list`` or ``dict``, or ``float`` for a number (an int counts and is
-    returned as a float; a bool does not). Any other value, null included,
-    raises TypeError naming the key and the value."""
+    ``list`` or ``dict``, ``int`` for an integer (``1.0`` does not count),
+    or ``float`` for a number (an int counts and is returned as a float; a
+    bool counts as neither). Any other value, null included, raises
+    TypeError naming the key and the value."""
     value = rec[key]
     if type(value) is kind:
         return value
@@ -352,13 +365,16 @@ def _sidecar_name(owner_id: str, index: int) -> str:
     return f"{safe}.{index:02d}.f32"
 
 
-def _turn_record(turn: Turn, features_path: str) -> dict:
+def _turn_record(turn: Turn, features_path: str, row: int | None = None) -> dict:
     rec = {
         "speaker_id": turn.speaker_id,
         "transcript": turn.transcript,
         "duration_s": turn.duration_s,
         "features_path": features_path,
     }
+    if row is not None:
+        rec["row"] = row
+        rec["frames"] = turn.n_frames
     if turn.start_s is not None:
         rec["start_s"] = turn.start_s
     if turn.end_s is not None:
@@ -366,13 +382,7 @@ def _turn_record(turn: Turn, features_path: str) -> dict:
     return rec
 
 
-def _episode_record(ep: Episode, manifest_path: Path, owner_prefix: str) -> dict:
-    features_dir = f"{manifest_path.stem}_features"
-    turns = []
-    for i, turn in enumerate(ep.turns):
-        rel = f"{features_dir}/{_sidecar_name(owner_prefix, i)}"
-        write_features(manifest_path.parent / rel, turn.features)
-        turns.append(_turn_record(turn, rel))
+def _episode_record(ep: Episode, turns: list[dict]) -> dict:
     return {
         "episode_id": ep.episode_id,
         "metadata": {k: ep.metadata[k] for k in sorted(ep.metadata)},
@@ -380,54 +390,124 @@ def _episode_record(ep: Episode, manifest_path: Path, owner_prefix: str) -> dict
     }
 
 
-def _parse_turn(rec: dict, base_dir: str) -> Turn:
+class _FeatureFiles:
+    """The feature files one manifest read refers to, each read once.
+
+    A turn record with ``row`` and ``frames`` is those rows of its
+    ``features_path``; one without them is all rows of its file (a
+    per-turn sidecar). Turns get views of the file's array. A range that
+    does not start past every range handed out before from the same file
+    may overlap one of them, so it gets a copy: turns never share memory.
+    """
+
+    def __init__(self, base_dir: str):
+        self.base_dir = base_dir
+        self.files: dict[str, list] = {}  # path -> [rows, end of the ranges handed out]
+
+    def rows(self, rec: dict, line: int) -> np.ndarray:
+        path = os.path.join(self.base_dir, _get(rec, "features_path", str))
+        sliced = "row" in rec or "frames" in rec
+        if sliced:
+            row, frames = _get(rec, "row", int), _get(rec, "frames", int)
+            if row < 0 or frames < 1:
+                raise ValueError(f"'row' must be >= 0 and 'frames' >= 1, not {row} and {frames}")
+        entry = self.files.get(path)
+        if entry is None:
+            entry = self.files[path] = [read_features(path), 0]
+        arr, handed_out = entry
+        if not sliced:
+            row, frames = 0, len(arr)
+        elif row + frames > len(arr):
+            raise FeatureIOError(
+                f"feature file {path}: rows [{row}, {row + frames}) past its {len(arr)} rows", line=line
+            )
+        view = arr[row : row + frames]
+        entry[1] = max(handed_out, row + frames)
+        return view.copy() if row < handed_out else view
+
+
+def _parse_turn(rec: dict, files: _FeatureFiles, line: int) -> Turn:
     return Turn(
         speaker_id=_get(rec, "speaker_id", str),
         transcript=_get(rec, "transcript", str),
         duration_s=_get(rec, "duration_s", float),
-        features=read_features(os.path.join(base_dir, _get(rec, "features_path", str))),
+        features=files.rows(rec, line),
         start_s=_get(rec, "start_s", float) if "start_s" in rec else None,
         end_s=_get(rec, "end_s", float) if "end_s" in rec else None,
     )
 
 
-def _parse_episode(rec: dict, base_dir: str, source_tier: str) -> Episode:
+def _parse_episode(rec: dict, files: _FeatureFiles, line: int, source_tier: str) -> Episode:
     metadata = _get(rec, "metadata", dict) if "metadata" in rec else {}
     return Episode(
         episode_id=_get(rec, "episode_id", str),
-        turns=[_parse_turn(t, base_dir) for t in _get(rec, "turns", list)],
+        turns=[_parse_turn(t, files, line) for t in _get(rec, "turns", list)],
         source_tier=source_tier,
         metadata={k: _get(metadata, k, str) for k in metadata},
     )
 
 
-def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
-    """Write a pair manifest plus feature sidecars.
+def shard_path(manifest: str | Path) -> Path:
+    """The feature shard of a pair manifest: ``<manifest file name>.f32``
+    in the same directory (``train.jsonl`` -> ``train.jsonl.f32``)."""
+    manifest = Path(manifest)
+    return manifest.with_name(manifest.name + ".f32")
 
-    Sidecars go to ``<stem>_features/`` next to the manifest, one file per
-    turn, named deterministically and injectively from (pair_id, side,
-    turn index), so rewriting the same pairs produces byte-identical
-    output. Raises DUPLICATE_ID, before writing anything, when two pairs
-    share a pair_id.
+
+def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
+    """Write a pair manifest plus its feature shard (:func:`shard_path`).
+
+    The shard has the feature-file layout and holds every turn's frames in
+    manifest order: each pair's chosen turns, then its rejected ones. Each
+    turn record names the shard in ``features_path`` and its rows there in
+    ``row`` and ``frames``. Rewriting the same pairs produces
+    byte-identical files.
+
+    One pass over the turns sums their frames for the shard header; then
+    each turn's rows go to the open shard as ``write_jsonl`` takes its
+    record, so no copy of all frames and no list of records is built.
+    Before writing anything, raises DUPLICATE_ID when two pairs share a
+    pair_id and SHAPE_MISMATCH when the turns' ``d_in`` differ.
     """
     seen: set[str] = set()
+    rows, d_ins = 0, set()
     for pair in pairs:
         _claim_id(seen, pair.pair_id, "pair_id")
+        for turn in (*pair.chosen.turns, *pair.rejected.turns):
+            rows += turn.n_frames
+            d_ins.add(turn.d_in)
+    if len(d_ins) > 1:
+        raise ShapeMismatchError(f"turn features have d_in {sorted(d_ins)}; a pair manifest's shard holds one d_in")
     path = Path(path)
-    write_jsonl(
-        (
-            {
-                "pair_id": pair.pair_id,
-                "criterion": pair.criterion.value,
-                "split": pair.split,
-                "source_tier": pair.source_tier,
-                "chosen": _episode_record(pair.chosen, path, f"{pair.pair_id}.chosen"),
-                "rejected": _episode_record(pair.rejected, path, f"{pair.pair_id}.rejected"),
-            }
-            for pair in pairs
-        ),
-        path,
-    )
+    shard = shard_path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(shard, "wb") as fh:
+        fh.write(_SIDECAR_HEADER.pack(rows, d_ins.pop() if d_ins else 0))
+        next_row = 0
+
+        def shard_turns(ep: Episode) -> list[dict]:
+            nonlocal next_row
+            turns = []
+            for turn in ep.turns:
+                fh.write(np.ascontiguousarray(turn.features, dtype="<f4"))
+                turns.append(_turn_record(turn, shard.name, next_row))
+                next_row += turn.n_frames
+            return turns
+
+        write_jsonl(
+            (
+                {
+                    "pair_id": pair.pair_id,
+                    "criterion": pair.criterion.value,
+                    "split": pair.split,
+                    "source_tier": pair.source_tier,
+                    "chosen": _episode_record(pair.chosen, shard_turns(pair.chosen)),
+                    "rejected": _episode_record(pair.rejected, shard_turns(pair.rejected)),
+                }
+                for pair in pairs
+            ),
+            path,
+        )
 
 
 def _pair_headers(path: str | Path) -> Iterator[tuple[int, dict, str, Criterion, str, str]]:
@@ -454,17 +534,21 @@ def read_pairs(path: str | Path) -> list[PreferencePair]:
     """Read a pair manifest, rejecting records that violate invariants.
 
     Raises :class:`ManifestParseError` (with the line number) for records
-    that do not match the schema, :class:`DuplicateIdError` (with the line
-    number) for a pair_id seen on an earlier line, and
-    :class:`InvariantError` (with the violation codes) for records whose
-    episodes fail validation or whose sides disagree on turn count or tier.
+    that do not match the schema, a ``row`` or ``frames`` that is not a
+    non-negative integer (``frames`` >= 1) included; :class:`FeatureIOError`
+    for a feature file that cannot be read, or (with the line number) for a
+    row range past its end; :class:`DuplicateIdError` (with the line number)
+    for a pair_id seen on an earlier line; and :class:`InvariantError` (with
+    the violation codes) for records whose episodes fail validation or
+    whose sides disagree on turn count or tier. Each feature file is read
+    once, and every turn holds its own rows of it (see module docstring).
     """
-    base_dir = os.path.dirname(path)
+    files = _FeatureFiles(os.path.dirname(path))
     pairs = []
     for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(path):
         with _record("pair record", lineno):
-            chosen = _parse_episode(rec["chosen"], base_dir, source_tier)
-            rejected = _parse_episode(rec["rejected"], base_dir, source_tier)
+            chosen = _parse_episode(rec["chosen"], files, lineno, source_tier)
+            rejected = _parse_episode(rec["rejected"], files, lineno, source_tier)
         codes = validate_episode(chosen) + validate_episode(rejected)
         codes += validate_pair(chosen, rejected)
         if codes:
@@ -476,15 +560,27 @@ def read_pairs(path: str | Path) -> list[PreferencePair]:
 def read_pair_tiers(path: str | Path) -> dict[str, str]:
     """pair_id -> source_tier of a pair manifest, from the JSONL alone: each
     record's header is checked as in :func:`read_pairs`, but no feature
-    sidecar is read and no episode is validated."""
+    file is read and no episode is validated."""
     return {pair_id: source_tier for _, _, pair_id, _, _, source_tier in _pair_headers(path)}
+
+
+def _sidecar_turns(ep: Episode, manifest_path: Path) -> list[dict]:
+    features_dir = f"{manifest_path.stem}_features"
+    turns = []
+    for i, turn in enumerate(ep.turns):
+        rel = f"{features_dir}/{_sidecar_name(ep.episode_id, i)}"
+        write_features(manifest_path.parent / rel, turn.features)
+        turns.append(_turn_record(turn, rel))
+    return turns
 
 
 def write_episodes(episodes: list[Episode], path: str | Path) -> None:
     """Write an episode manifest (pipeline intermediate) plus sidecars.
 
-    Raises DUPLICATE_ID, before writing anything, when two episodes share
-    an episode_id.
+    Sidecars go to ``<stem>_features/`` next to the manifest, one file per
+    turn, named injectively from (episode_id, turn index). Raises
+    DUPLICATE_ID, before writing anything, when two episodes share an
+    episode_id.
     """
     seen: set[str] = set()
     for ep in episodes:
@@ -493,7 +589,11 @@ def write_episodes(episodes: list[Episode], path: str | Path) -> None:
     # Record keys: episode_id, source_tier, metadata, turns.
     write_jsonl(
         (
-            {"episode_id": ep.episode_id, "source_tier": ep.source_tier, **_episode_record(ep, path, ep.episode_id)}
+            {
+                "episode_id": ep.episode_id,
+                "source_tier": ep.source_tier,
+                **_episode_record(ep, _sidecar_turns(ep, path)),
+            }
             for ep in episodes
         ),
         path,
@@ -508,12 +608,12 @@ def read_episodes(path: str | Path) -> list[Episode]:
     filter) downstream. An episode_id seen on an earlier line raises
     DUPLICATE_ID with the line number.
     """
-    base_dir = os.path.dirname(path)
+    files = _FeatureFiles(os.path.dirname(path))
     episodes = []
     seen: set[str] = set()
     for lineno, rec in read_jsonl(path):
         with _record("episode record", lineno):
-            ep = _parse_episode(rec, base_dir, _get(rec, "source_tier", str))
+            ep = _parse_episode(rec, files, lineno, _get(rec, "source_tier", str))
         _claim_id(seen, ep.episode_id, "episode_id", lineno)
         episodes.append(ep)
     return episodes

@@ -6,21 +6,22 @@ match on the contract name rather than on the message text.
 
 
 class EpiscoreError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; ``line`` is the manifest line the
+    error was found on, if any, and prefixes the message."""
 
     code = "ERROR"
+
+    def __init__(self, message: str = "", line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
 
 
 class ManifestParseError(EpiscoreError):
     """A manifest line could not be parsed into the expected schema."""
 
     code = "PARSE_ERROR"
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class DuplicateIdError(ManifestParseError):
@@ -36,12 +37,12 @@ class InvariantError(EpiscoreError):
 
     def __init__(self, codes, message: str = "", line: int | None = None):
         self.codes = list(codes)
-        self.line = line
         parts = [message] if message else []
         parts.append(f"violations: {', '.join(self.codes)}")
         if line is not None:
             parts.insert(0, f"line {line}")
         super().__init__("; ".join(parts))
+        self.line = line
 
 
 class EmptyManifestError(EpiscoreError):

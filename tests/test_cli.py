@@ -1,12 +1,11 @@
 import json
-import shutil
 
 import numpy as np
 import pytest
 
 from episcore import read_episodes, read_pairs, scorer, write_episodes, write_pairs, write_segments
 from episcore.cli import main
-from episcore.episodes import SOURCE_TIERS, Segment, SegmentManifest, write_features
+from episcore.episodes import SOURCE_TIERS, Segment, SegmentManifest, shard_path, write_features
 from episcore.evaluation import ScoredPair, write_scores
 
 from conftest import make_episode, make_pair
@@ -36,7 +35,8 @@ class TestSynthCommand:
     def test_rerun_is_byte_identical(self, tmp_path):
         for name in ("a", "b"):
             assert run("synth", "--n", 6, "--out", "p.jsonl", "--out-dir", tmp_path / name, "--seed", 1) == 0
-        assert (tmp_path / "a" / "p.jsonl").read_bytes() == (tmp_path / "b" / "p.jsonl").read_bytes()
+        for name in ("p.jsonl", "p.jsonl.f32"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_seed_env_var_used_when_flag_absent(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EPISCORE_SEED", "7")
@@ -205,7 +205,7 @@ class TestEvalPairs:
 
     def test_reads_no_feature_sidecars(self, synth_manifest, tmp_path):
         scores = self._write_scores(synth_manifest)
-        shutil.rmtree(synth_manifest.parent / "pairs_features")
+        shard_path(synth_manifest).unlink()
         assert run("eval", "--scores", scores, "--pairs", synth_manifest, "--out-dir", tmp_path / "e") == 0
         assert json.loads((tmp_path / "e" / "report.json").read_text())["counts"]
 
@@ -221,6 +221,15 @@ class TestEvalPairs:
         scores = self._write_scores(synth_manifest, edit)
         assert run("eval", "--scores", scores, "--pairs", synth_manifest, "--out-dir", tmp_path) == 1
         assert needle in capsys.readouterr().err
+
+    def test_every_manifest_pair_must_be_scored(self, synth_manifest, tmp_path, capsys):
+        ids = [p.pair_id for p in read_pairs(synth_manifest)]
+        scores = self._write_scores(synth_manifest, lambda rows: rows[:1] + rows[2:])
+        assert run("eval", "--scores", scores, "--pairs", synth_manifest, "--out-dir", tmp_path / "e") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[PARSE_ERROR]: ")
+        assert f"scores 11 of the 12 pairs in {synth_manifest}; first unscored pair: {ids[1]}" in err
+        assert not (tmp_path / "e" / "report.json").exists()
 
     def test_duplicate_manifest_id_fails(self, synth_manifest, tmp_path, capsys):
         scores = self._write_scores(synth_manifest)
@@ -270,6 +279,20 @@ def test_count_flags_must_be_positive(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--noise-std", "-1", "SynthConfig: noise_std must be >= 0"),
+        ("--lambda-center", "-1", "TrainConfig: lambda_center must be >= 0"),
+    ],
+    ids=["noise_std", "lambda_center"],
+)
+def test_e2e_bad_config_flag_fails_before_writing(tmp_path, capsys, flag, value, message):
+    assert run("e2e", "--n-train", 2, "--n-val", 1, flag, value, "--out-dir", tmp_path) == 1
+    assert capsys.readouterr().err == f"error[PARSE_ERROR]: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run-manifest.json"]
 
 
 def _write_segment_manifest(path):

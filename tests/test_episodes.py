@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+import os
 import tempfile
 from pathlib import Path
 
@@ -32,10 +33,12 @@ from episcore.episodes import (
     TURN_TOO_LONG,
     Segment,
     SegmentManifest,
+    _sidecar_name,
     read_features,
+    shard_path,
     write_features,
 )
-from episcore.errors import DuplicateIdError, FeatureIOError, InvariantError, ManifestParseError
+from episcore.errors import DuplicateIdError, FeatureIOError, InvariantError, ManifestParseError, ShapeMismatchError
 
 from conftest import D_IN, make_episode, make_pair, make_turn
 
@@ -282,14 +285,179 @@ class TestPairManifest:
             pairs.append(pair)
         path = tmp_path / "pairs.jsonl"
         write_pairs(pairs, path)
-        assert read_pairs(path) == pairs
-        assert len(list((tmp_path / "pairs_features").iterdir())) == 4 * len(ids)
+        back = read_pairs(path)
+        assert back == pairs
+        assert [float(p.chosen.turns[0].features[0, 0]) for p in back] == [float(i) for i in range(len(ids))]
+        assert sorted(os.listdir(tmp_path)) == ["pairs.jsonl", "pairs.jsonl.f32"]
 
     def test_plain_ids_keep_their_sidecar_names(self, tmp_path):
-        path = tmp_path / "pairs.jsonl"
-        write_pairs([make_pair("pair-0_a.b")], path)
+        # Episode manifests keep one sidecar per turn, named from the id.
+        path = tmp_path / "episodes.jsonl"
+        write_episodes([make_episode(2, episode_id="ep-0_a.b")], path)
         rec = json.loads(path.read_text(encoding="utf-8"))
-        assert rec["chosen"]["turns"][1]["features_path"] == "pairs_features/pair-0_a.b.chosen.01.f32"
+        assert rec["turns"][1]["features_path"] == "episodes_features/ep-0_a.b.01.f32"
+        assert sorted(os.listdir(tmp_path / "episodes_features")) == ["ep-0_a.b.00.f32", "ep-0_a.b.01.f32"]
+
+
+def _turn_records(path: Path) -> list[dict]:
+    return [t for line in path.read_text().splitlines() for side in ("chosen", "rejected")
+            for t in json.loads(line)[side]["turns"]]
+
+
+def _rewrite_first_turn(path: Path, line: int, **fields) -> None:
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[line - 1])
+    rec["chosen"]["turns"][0].update(fields)
+    lines[line - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestFeatureShard:
+    """A pair manifest keeps every turn's frames in one shard file."""
+
+    def _pairs(self):
+        pairs = [make_pair(f"p{i}", n_turns=2 + 2 * (i % 2)) for i in range(3)]
+        for i, pair in enumerate(pairs):
+            for j, turn in enumerate(pair.chosen.turns + pair.rejected.turns):
+                turn.features = np.arange(turn.features.size, dtype=np.float32).reshape(-1, D_IN) + 100 * i + j
+        return pairs
+
+    def test_turns_name_consecutive_rows_of_one_shard(self, tmp_path):
+        pairs = self._pairs()
+        path = tmp_path / "train.jsonl"
+        write_pairs(pairs, path)
+        turns = _turn_records(path)
+        assert {t["features_path"] for t in turns} == {"train.jsonl.f32"}
+        assert [t["row"] for t in turns] == list(np.cumsum([0] + [t["frames"] for t in turns[:-1]]))
+        want = np.concatenate([t.features for p in pairs for t in p.chosen.turns + p.rejected.turns])
+        assert np.array_equal(read_features(shard_path(path)), want)
+        assert sorted(os.listdir(tmp_path)) == ["train.jsonl", "train.jsonl.f32"]
+
+    def test_shard_is_named_from_the_whole_file_name(self, tmp_path):
+        first, second = make_pair("a"), make_pair("a")
+        second.chosen.turns[0].features[...] = 2.0
+        write_pairs([first], tmp_path / "p.jsonl")
+        write_pairs([second], tmp_path / "p.json")
+        write_pairs([first], tmp_path / "p.f32")
+        assert read_pairs(tmp_path / "p.jsonl") == [first]
+        assert read_pairs(tmp_path / "p.json") == [second]
+        assert read_pairs(tmp_path / "p.f32") == [first]
+        assert shard_path(tmp_path / "p.f32") == tmp_path / "p.f32.f32"
+
+    def test_each_feature_file_is_read_once(self, tmp_path, monkeypatch):
+        import episcore.episodes as episodes
+
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(self._pairs(), path)
+        calls = []
+        monkeypatch.setattr(episodes, "read_features", lambda p: calls.append(p) or read_features(p))
+        read_pairs(path)
+        assert calls == [str(shard_path(path))]
+
+    def test_turns_hold_disjoint_writable_rows(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(self._pairs(), path)
+        feats = [t.features for p in read_pairs(path) for t in p.chosen.turns + p.rejected.turns]
+        assert all(f.flags.writeable and f.dtype == np.float32 for f in feats)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(feats) for b in feats[i + 1 :])
+
+    def test_overlapping_ranges_never_share_memory(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        pairs = self._pairs()
+        write_pairs(pairs, path)
+        _rewrite_first_turn(path, 2, row=0)  # the first turn of line 2 now names line 1's first rows
+        back = read_pairs(path)
+        first, again = back[0].chosen.turns[0].features, back[1].chosen.turns[0].features
+        assert np.array_equal(first, again) and not np.shares_memory(first, again)
+
+    def test_per_turn_sidecar_pair_manifest_still_reads(self, tmp_path):
+        # The layout written before shards: one sidecar per turn, no row or frames.
+        pairs = self._pairs()
+        lines = []
+        for pair in pairs:
+            rec = {"pair_id": pair.pair_id, "criterion": pair.criterion.value, "split": pair.split,
+                   "source_tier": pair.source_tier}
+            for side in ("chosen", "rejected"):
+                ep = getattr(pair, side)
+                turns = []
+                for i, turn in enumerate(ep.turns):
+                    rel = f"pairs_features/{_sidecar_name(f'{pair.pair_id}.{side}', i)}"
+                    write_features(tmp_path / rel, turn.features)
+                    turns.append({"speaker_id": turn.speaker_id, "transcript": turn.transcript,
+                                  "duration_s": turn.duration_s, "features_path": rel})
+                rec[side] = {"episode_id": ep.episode_id, "metadata": ep.metadata, "turns": turns}
+            lines.append(json.dumps(rec))
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        back = read_pairs(path)
+        assert back == pairs
+        feats = [t.features for p in back for t in p.chosen.turns + p.rejected.turns]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(feats) for b in feats[i + 1 :])
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"row": 3.0}, ManifestParseError),
+            ({"row": True}, ManifestParseError),
+            ({"row": -1}, ManifestParseError),
+            ({"row": "3"}, ManifestParseError),
+            ({"frames": 3.0}, ManifestParseError),
+            ({"frames": False}, ManifestParseError),
+            ({"frames": 0}, ManifestParseError),
+            ({"frames": None}, ManifestParseError),
+            ({"row": 10**6}, FeatureIOError),
+            ({"frames": 10**6}, FeatureIOError),
+        ],
+        ids=["float_row", "bool_row", "negative_row", "string_row", "float_frames", "bool_frames", "zero_frames",
+             "null_frames", "row_past_end", "frames_past_end"],
+    )
+    def test_bad_row_range_fails_with_code_and_line(self, tmp_path, fields, error):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(self._pairs(), path)
+        _rewrite_first_turn(path, 2, **fields)
+        with pytest.raises(error) as exc:
+            read_pairs(path)
+        assert type(exc.value) is error and exc.value.line == 2
+        if error is FeatureIOError:
+            assert str(shard_path(path)) in str(exc.value) and "past its" in str(exc.value)
+
+    def test_row_without_frames_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(self._pairs(), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[0])
+        del rec["rejected"]["turns"][1]["frames"]
+        path.write_text(json.dumps(rec) + "\n" + "\n".join(lines[1:]) + "\n")
+        with pytest.raises(ManifestParseError, match="missing key 'frames'") as exc:
+            read_pairs(path)
+        assert exc.value.line == 1
+
+    def test_mixed_d_in_is_rejected_before_writing(self, tmp_path):
+        odd = make_pair("odd")
+        odd.rejected.turns[1] = make_turn(speaker="spk-b", d_in=D_IN + 1)
+        with pytest.raises(ShapeMismatchError):
+            write_pairs([make_pair("p"), odd], tmp_path / "pairs.jsonl")
+        assert not any(tmp_path.iterdir())
+
+    def test_duplicate_pair_id_leaves_no_shard(self, tmp_path):
+        with pytest.raises(DuplicateIdError):
+            write_pairs([make_pair("p"), make_pair("p")], tmp_path / "pairs.jsonl")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("end", [-4, 10], ids=["rows", "header"])
+    def test_truncated_shard_is_a_feature_io_error(self, tmp_path, end):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(self._pairs(), path)
+        shard = shard_path(path)
+        shard.write_bytes(shard.read_bytes()[:end])
+        with pytest.raises(FeatureIOError, match="feature sidecar .*pairs.jsonl.f32"):
+            read_pairs(path)
+
+    def test_empty_pair_list_writes_an_empty_shard(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs([], path)
+        assert read_pairs(path) == []
+        assert read_features(shard_path(path)).shape == (0, 0)
 
 
 # Ids and transcripts mix path separators, the escape character, whitespace
@@ -323,6 +491,7 @@ def test_manifest_round_trip_over_arbitrary_ids(ids, transcripts):
         path = Path(tmp) / "pairs.jsonl"
         write_pairs(pairs, path)
         assert read_pairs(path) == pairs
+        assert sorted(os.listdir(tmp)) == ["pairs.jsonl", "pairs.jsonl.f32"]
 
 
 def _leaves(value, path=()):

@@ -21,7 +21,7 @@ from episcore import (
     validate_episode,
     write_pairs,
 )
-from episcore.episodes import TOO_MANY_TURNS, TURN_TOO_LONG, write_features
+from episcore.episodes import TOO_MANY_TURNS, TURN_TOO_LONG, shard_path, write_features
 from episcore.errors import EmptyManifestError, FeatureIOError, JudgeUnavailableError, MissingMetadataError
 from episcore.pipeline import default_signature
 
@@ -349,11 +349,8 @@ class TestSynthPairs:
         write_pairs(synth_pairs(cfg, 10), a_path)
         write_pairs(synth_pairs(cfg, 10), b_path)
         assert a_path.read_bytes() == b_path.read_bytes()
-        sidecars_a = sorted(p.name for p in (tmp_path / "a" / "p_features").iterdir())
-        for name in sidecars_a:
-            assert (tmp_path / "a" / "p_features" / name).read_bytes() == (
-                tmp_path / "b" / "p_features" / name
-            ).read_bytes()
+        assert shard_path(a_path).read_bytes() == shard_path(b_path).read_bytes()
+        assert sorted(p.name for p in a_path.parent.iterdir()) == ["p.jsonl", "p.jsonl.f32"]
 
     def test_round_trips_through_manifest(self, tmp_path):
         pairs = synth_pairs(synth_config(seed=18), 6)
