@@ -16,13 +16,15 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, config as configio, evaluation, gradcheck, pipeline, scorer, training
 from .episodes import (
-    _record, read_episodes, read_pair_tiers, read_pairs, read_segments, write_episodes, write_jsonl, write_pairs
+    PreferencePair, _record, iter_pairs, read_episodes, read_pair_tiers, read_pairs, read_segments, write_episodes,
+    write_jsonl, write_pairs,
 )
 from .errors import EmptySetError, EpiscoreError, ManifestParseError
 
@@ -120,8 +122,8 @@ def cmd_pipeline_stratify(args) -> int:
 
 def cmd_train(args) -> int:
     scorer_cfg, train_cfg = configio.load(args.config, scorer.ScorerConfig, training.TrainConfig, seed=args.seed)
-    pairs = read_pairs(args.pairs)
-    val_pairs = read_pairs(args.val) if args.val else []
+    pairs = iter_pairs(args.pairs)
+    val_pairs = iter_pairs(args.val) if args.val else ()
     out_dir = Path(args.out_dir)
     result = training.train(pairs, val_pairs, scorer_cfg, train_cfg, checkpoint_dir=out_dir / "checkpoints")
     best_path = _write_training(out_dir, scorer_cfg, result)
@@ -132,17 +134,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _scored_pairs(pairs, r_chosen, r_rejected) -> list[evaluation.ScoredPair]:
+def _score(pairs: Iterable[PreferencePair], cfg: scorer.ScorerConfig, params) -> list[evaluation.ScoredPair]:
+    """Score ``pairs`` one :func:`training.pair_chunks` page at a time,
+    keeping only each pair's header."""
+    heads = []
+
+    def noted(pairs):
+        for p in pairs:
+            heads.append((p.pair_id, p.source_tier, p.criterion.value))
+            yield p
+
+    r_chosen, r_rejected = training.score_pairs(training.pair_chunks(noted(pairs), cfg), cfg, params)
     return [
-        evaluation.ScoredPair(p.pair_id, float(c), float(r), p.source_tier, p.criterion.value)
-        for p, c, r in zip(pairs, r_chosen, r_rejected)
+        evaluation.ScoredPair(pair_id, float(c), float(r), tier, criterion)
+        for (pair_id, tier, criterion), c, r in zip(heads, r_chosen, r_rejected)
     ]
 
 
 def cmd_score(args) -> int:
-    pairs = read_pairs(args.pairs)
+    pairs = iter_pairs(args.pairs)  # opens the manifest: a missing one fails before the checkpoint is read
     cfg, params = scorer.load_checkpoint(args.checkpoint)
-    scored = _scored_pairs(pairs, *training.score_pairs(training.pair_chunks(pairs, cfg), cfg, params))
+    scored = _score(pairs, cfg, params)
     out = _resolve(args.out_dir, args.out)
     evaluation.write_scores(scored, out)
     print(f"scored {len(scored)} pairs to {out}")
@@ -250,8 +262,8 @@ def cmd_e2e(args) -> int:
     result = training.train(train_pairs, val_pairs, scorer_cfg, train_cfg, checkpoint_dir=out_dir / "checkpoints")
     _write_training(out_dir, scorer_cfg, result)
 
-    rc, rr = training.score_pairs(training.pair_chunks(val_pairs, scorer_cfg), scorer_cfg, result.best_params)
-    scored = _scored_pairs(val_pairs, rc, rr)
+    scored = _score(val_pairs, scorer_cfg, result.best_params)
+    rc, rr = np.array([(s.r_chosen, s.r_rejected) for s in scored]).T
     evaluation.write_scores(scored, out_dir / "val-scores.jsonl")
     _write_report(out_dir, scored)
 

@@ -9,6 +9,9 @@ names its ``row`` and ``frames`` there. An episode manifest keeps one
 sidecar file per turn. A turn record without ``row``/``frames`` is all of
 its file, so both layouts, and pair manifests that still use per-turn
 sidecars, load through the same reader, which opens each file once.
+:func:`iter_pairs` streams a pair manifest one validated pair at a time.
+Every JSONL file is written through :func:`write_jsonl`, which replaces
+the old file atomically.
 
 All types are plain immutable-by-convention dataclasses; none of them
 enforce the episode-level structural rules at construction time. Those
@@ -29,7 +32,7 @@ import os
 import struct
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -44,7 +47,7 @@ SPLITS = ("train", "val", "bench")
 MAX_TURNS = 16
 MAX_TURN_SECONDS = 60.0
 
-# Violation codes emitted by validate_episode / read_pairs.
+# Violation codes emitted by validate_episode / iter_pairs.
 ODD_TURNS = "ODD_TURNS"
 TOO_MANY_TURNS = "TOO_MANY_TURNS"
 TURN_TOO_LONG = "TURN_TOO_LONG"
@@ -66,7 +69,7 @@ class Criterion(Enum):
         return 0 if self is Criterion.MODALITY else 1
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Turn:
     """One dialogue turn: transcript plus an (F, d_in) frame matrix.
 
@@ -114,7 +117,7 @@ class Turn:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Episode:
     """An ordered multi-turn dialogue; the unit the reward model scores.
 
@@ -140,7 +143,7 @@ class Episode:
         return float(sum(t.duration_s for t in self.turns))
 
 
-@dataclass
+@dataclass(slots=True)
 class PreferencePair:
     """A (chosen, rejected) episode pair: the unit of supervision and eval.
 
@@ -290,12 +293,31 @@ def read_features(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
-    """Write one compact JSON object per line, keys in the order given."""
+    """Write one compact JSON object per line, keys in the order given.
+
+    The lines stream into a temporary file in ``path``'s directory, which
+    then replaces ``path`` (``os.replace``). So a process that dies
+    mid-write leaves the old file or the new one, never a partial one;
+    power loss is not covered, as nothing is fsynced. If producing the
+    records raises, ``path`` is untouched and the temporary file is
+    removed. The temporary file is made by a plain ``open``, so the new
+    file gets the permissions any new file would get.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(rec, ensure_ascii=False, separators=(",", ":")) + "\n" for rec in records]
-    path.write_text("".join(lines), encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(_ENCODER.encode(rec) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _reject_constant(token: str):
@@ -307,8 +329,19 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)  # NaN, Infinity, -
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line; a line that
-    is not a strict JSON object raises PARSE_ERROR with its line number."""
+    is not a strict JSON object raises PARSE_ERROR with its line number.
+
+    The file is opened by the call, not at the first record, so a missing
+    file raises OSError here; it is closed when the records run out or the
+    iterator is dropped."""
+    records = _jsonl_records(path)
+    next(records)  # runs up to the open
+    return records
+
+
+def _jsonl_records(path: str | Path) -> Iterator:
     with open(path, encoding="utf-8") as fh:
+        yield None
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
@@ -391,7 +424,8 @@ def _episode_record(ep: Episode, turns: list[dict]) -> dict:
 
 
 class _FeatureFiles:
-    """The feature files one manifest read refers to, each read once.
+    """The feature files one manifest read (or one grouping call) refers
+    to, each read once.
 
     A turn record with ``row`` and ``frames`` is those rows of its
     ``features_path``; one without them is all rows of its file (a
@@ -400,23 +434,28 @@ class _FeatureFiles:
     may overlap one of them, so it gets a copy: turns never share memory.
     """
 
-    def __init__(self, base_dir: str):
+    def __init__(self, base_dir: str = ""):
         self.base_dir = base_dir
         self.files: dict[str, list] = {}  # path -> [rows, end of the ranges handed out]
 
     def rows(self, rec: dict, line: int) -> np.ndarray:
         path = os.path.join(self.base_dir, _get(rec, "features_path", str))
-        sliced = "row" in rec or "frames" in rec
-        if sliced:
-            row, frames = _get(rec, "row", int), _get(rec, "frames", int)
-            if row < 0 or frames < 1:
-                raise ValueError(f"'row' must be >= 0 and 'frames' >= 1, not {row} and {frames}")
+        if "row" not in rec and "frames" not in rec:
+            return self.take(path)
+        row, frames = _get(rec, "row", int), _get(rec, "frames", int)
+        if row < 0 or frames < 1:
+            raise ValueError(f"'row' must be >= 0 and 'frames' >= 1, not {row} and {frames}")
+        return self.take(path, row, frames, line)
+
+    def take(self, path: str, row: int = 0, frames: int | None = None, line: int | None = None) -> np.ndarray:
+        """Rows ``[row, row + frames)`` of the feature file ``path``; all of
+        its rows when ``frames`` is None."""
         entry = self.files.get(path)
         if entry is None:
             entry = self.files[path] = [read_features(path), 0]
         arr, handed_out = entry
-        if not sliced:
-            row, frames = 0, len(arr)
+        if frames is None:
+            frames = len(arr)
         elif row + frames > len(arr):
             raise FeatureIOError(
                 f"feature file {path}: rows [{row}, {row + frames}) past its {len(arr)} rows", line=line
@@ -510,12 +549,13 @@ def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
         )
 
 
-def _pair_headers(path: str | Path) -> Iterator[tuple[int, dict, str, Criterion, str, str]]:
+def _pair_headers(records: Iterator[tuple[int, dict]]) -> Iterator[tuple[int, dict, str, Criterion, str, str]]:
     """Yield (line number, record, pair_id, criterion, split, source_tier)
-    for each record of a pair manifest whose keys and header values are
-    valid; a pair_id seen on an earlier line raises DUPLICATE_ID."""
+    for each of a pair manifest's :func:`read_jsonl` ``records`` whose keys
+    and header values are valid; a pair_id seen on an earlier line raises
+    DUPLICATE_ID."""
     seen: set[str] = set()
-    for lineno, rec in read_jsonl(path):
+    for lineno, rec in records:
         with _record("pair record", lineno):
             pair_id = _get(rec, "pair_id", str)
             criterion = Criterion(_get(rec, "criterion", str))
@@ -530,22 +570,29 @@ def _pair_headers(path: str | Path) -> Iterator[tuple[int, dict, str, Criterion,
         yield lineno, rec, pair_id, criterion, split, source_tier
 
 
-def read_pairs(path: str | Path) -> list[PreferencePair]:
-    """Read a pair manifest, rejecting records that violate invariants.
+def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
+    """Yield the pairs of a pair manifest one at a time, in file order,
+    each validated before it is yielded.
 
-    Raises :class:`ManifestParseError` (with the line number) for records
-    that do not match the schema, a ``row`` or ``frames`` that is not a
-    non-negative integer (``frames`` >= 1) included; :class:`FeatureIOError`
-    for a feature file that cannot be read, or (with the line number) for a
-    row range past its end; :class:`DuplicateIdError` (with the line number)
-    for a pair_id seen on an earlier line; and :class:`InvariantError` (with
-    the violation codes) for records whose episodes fail validation or
-    whose sides disagree on turn count or tier. Each feature file is read
-    once, and every turn holds its own rows of it (see module docstring).
+    The manifest is opened by the call, so a missing file raises OSError
+    here; records are parsed as the pairs are consumed, so a bad record
+    raises when the iteration reaches it. Raises :class:`ManifestParseError`
+    (with the line number) for records that do not match the schema, a
+    ``row`` or ``frames`` that is not a non-negative integer (``frames`` >=
+    1) included; :class:`FeatureIOError` for a feature file that cannot be
+    read, or (with the line number) for a row range past its end;
+    :class:`DuplicateIdError` (with the line number) for a pair_id seen on
+    an earlier line; and :class:`InvariantError` (with the violation codes)
+    for records whose episodes fail validation or whose sides disagree on
+    turn count or tier. Each feature file is read once, when a pair first
+    names it, and every turn holds its own rows of it (see module
+    docstring).
     """
-    files = _FeatureFiles(os.path.dirname(path))
-    pairs = []
-    for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(path):
+    return _pairs(read_jsonl(path), _FeatureFiles(os.path.dirname(path)))
+
+
+def _pairs(records: Iterator[tuple[int, dict]], files: _FeatureFiles) -> Iterator[PreferencePair]:
+    for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(records):
         with _record("pair record", lineno):
             chosen = _parse_episode(rec["chosen"], files, lineno, source_tier)
             rejected = _parse_episode(rec["rejected"], files, lineno, source_tier)
@@ -553,15 +600,19 @@ def read_pairs(path: str | Path) -> list[PreferencePair]:
         codes += validate_pair(chosen, rejected)
         if codes:
             raise InvariantError(sorted(set(codes)), message=f"pair {pair_id}", line=lineno)
-        pairs.append(PreferencePair(pair_id, chosen, rejected, criterion, split))
-    return pairs
+        yield PreferencePair(pair_id, chosen, rejected, criterion, split)
+
+
+def read_pairs(path: str | Path) -> list[PreferencePair]:
+    """Every pair of a pair manifest, as :func:`iter_pairs` yields them."""
+    return list(iter_pairs(path))
 
 
 def read_pair_tiers(path: str | Path) -> dict[str, str]:
     """pair_id -> source_tier of a pair manifest, from the JSONL alone: each
-    record's header is checked as in :func:`read_pairs`, but no feature
+    record's header is checked as in :func:`iter_pairs`, but no feature
     file is read and no episode is validated."""
-    return {pair_id: source_tier for _, _, pair_id, _, _, source_tier in _pair_headers(path)}
+    return {pair_id: source_tier for _, _, pair_id, _, _, source_tier in _pair_headers(read_jsonl(path))}
 
 
 def _sidecar_turns(ep: Episode, manifest_path: Path) -> list[dict]:
@@ -619,8 +670,12 @@ def read_episodes(path: str | Path) -> list[Episode]:
     return episodes
 
 
+_SEGMENT_FIELDS = tuple(f.name for f in fields(Segment))
+
+
 def write_segments(manifest: SegmentManifest, path: str | Path) -> None:
-    write_jsonl((asdict(seg) for seg in manifest.records), path)
+    # Shallow records in field order: dataclasses.asdict deep-copies every field.
+    write_jsonl(({k: getattr(seg, k) for k in _SEGMENT_FIELDS} for seg in manifest.records), path)
 
 
 def read_segments(path: str | Path) -> SegmentManifest:

@@ -30,7 +30,7 @@ from .episodes import (
     Segment,
     SegmentManifest,
     Turn,
-    read_features,
+    _FeatureFiles,
     validate_episode,
 )
 from .errors import EmptyManifestError, MissingMetadataError
@@ -99,6 +99,9 @@ def group_segments(
     least the minimum interval, at most two speakers, an even turn count,
     and speech density at least the overlap-ratio floor. A single segment
     longer than the duration cap cannot be split and is dropped.
+
+    Each feature file is read once per call; a later turn that names the
+    same file gets a copy of its rows, so no two turns share memory.
     """
     if not manifest.records:
         raise EmptyManifestError("segment manifest has no records")
@@ -129,6 +132,7 @@ def group_segments(
     if cur:
         groups.append((cur, tally))
 
+    files = _FeatureFiles()
     episodes = []
     counter = 0
     for group, tally in groups:
@@ -147,7 +151,7 @@ def group_segments(
                 speaker_id=seg.speaker_id,
                 transcript=seg.transcript,
                 duration_s=seg.duration_s,
-                features=read_features(seg.features_path),
+                features=files.take(seg.features_path),
                 start_s=seg.start_s,
                 end_s=seg.end_s,
             )

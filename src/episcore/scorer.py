@@ -16,10 +16,13 @@ Every non-criterion row is encoded as h = tanh(W_enc f + b_enc), the
 sequence is pooled (last / mean / attention), and a one-hidden-layer tanh
 MLP maps the pooled vector to a scalar reward.
 
-Scoring takes one input type, a ragged :class:`EpisodeBatch`:
-:func:`pack_episodes`, the one statement of the layout above, packs the
-sequences of many episodes into one (segment starts derive from lengths),
-:func:`score_batch` scores them all in one forward pass, and
+The layout is stated once, by :class:`RowTable`: it keeps each kept
+frame row and each distinct token embedding once, plus the table row of
+each position of each episode's sequence, and builds any batch of its
+episodes with one fancy-index gather. Scoring takes one input type, a
+ragged :class:`EpisodeBatch` (segment starts derive from lengths):
+:func:`pack_episodes` is the table batch of a list of episodes,
+:func:`score_batch` scores a batch in one forward pass, and
 :func:`backward_batch` produces exact gradients of any weighted sum of
 their rewards w.r.t. every parameter tensor, which the test suite
 verifies against central finite differences. Backward takes only what
@@ -43,6 +46,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -184,13 +189,13 @@ def _segment_starts(lengths: np.ndarray) -> np.ndarray:
 class EpisodeBatch:
     """The input rows of B episodes, packed for one ragged forward pass.
 
-    Episode i owns the segment ``x[starts[i] : starts[i] + lengths[i]]``.
-    The segment's first row is a zero placeholder at the position of the
-    criterion row (the encoder output there is replaced by the criterion
-    embedding); the rest are the episode's input rows in the layout of
-    :func:`pack_episodes`. So every segment has at least one row, and
-    lengths[i] is the episode's sequence length L. ``starts`` is derived
-    from ``lengths``, so the two cannot disagree.
+    Episode i owns the segment ``x[starts[i] : starts[i] + lengths[i]]``:
+    its sequence in the layout of :class:`RowTable`. The segment's first
+    row is a zero placeholder at the position of the criterion row (the
+    encoder output there is replaced by the criterion embedding). So every
+    segment has at least one row, and lengths[i] is the episode's sequence
+    length L. ``starts`` is derived from ``lengths``, so the two cannot
+    disagree.
     """
 
     x: np.ndarray         # (R, d_in) float64, R = lengths.sum()
@@ -204,37 +209,76 @@ class EpisodeBatch:
     def __len__(self) -> int:
         return int(self.lengths.size)
 
-    def take(self, index) -> "EpisodeBatch":
-        """The batch of episodes ``index`` (in that order), rows gathered by index."""
+
+@dataclass(eq=False)
+class RowTable:
+    """The one statement of the sequence layout: the distinct input rows
+    of a set of episodes, and the row at each position of each sequence.
+
+    ``rows`` holds a zero row, then each kept frame row once (the first
+    ``max_frames_per_turn`` frames of each turn, in episode and turn
+    order), then each distinct token's embedding once, in order of first
+    use. Episode i's sequence is ``rows[row_of[starts[i] : starts[i] +
+    lengths[i]]]``: the zero row (the criterion position), then per turn
+    its token rows and its kept frame rows. :meth:`batch` gathers the
+    sequences of any episodes with one fancy index.
+    """
+
+    rows: np.ndarray      # (N, d_in) float64
+    row_of: np.ndarray    # (P,) table row of each sequence position, episodes back to back
+    lengths: np.ndarray   # (E,) sequence length of each episode, >= 1
+    criteria: np.ndarray  # (E,) criterion-embedding row of each episode
+    starts: np.ndarray = field(init=False)  # (E,) first position of each episode in row_of
+
+    def __post_init__(self):
+        self.starts = _segment_starts(self.lengths)
+
+    def __len__(self) -> int:
+        return int(self.lengths.size)
+
+    @classmethod
+    def build(cls, items: Iterable[tuple[Episode, Criterion]], cfg: ScorerConfig) -> "RowTable":
+        """The table of ``items`` (each episode scored under its criterion),
+        built in one pass: of each episode, only its kept frame rows are
+        held until the rows are stacked, so a stream of episodes is never
+        held whole."""
+        blocks = [np.zeros((1, cfg.d_in))]  # the zero row, then the kept frames of each turn
+        n_rows = 1
+        tokens: dict[str, int] = {}  # token -> its number among the distinct tokens
+        row_of = array("q")  # a frame row, or ~k for the k-th distinct token
+        lengths, criteria = array("q"), array("q")
+        for ep, criterion in items:
+            start = len(row_of)
+            row_of.append(0)
+            for turn in ep.turns:
+                if turn.d_in != cfg.d_in:
+                    raise ShapeMismatchError(f"turn features have d_in={turn.d_in}, config expects {cfg.d_in}")
+                row_of.extend([~tokens.setdefault(tok, len(tokens)) for tok in tokenize(turn.transcript)])
+                frames = turn.features[: cfg.max_frames_per_turn]
+                blocks.append(frames)
+                row_of.extend(range(n_rows, n_rows + len(frames)))
+                n_rows += len(frames)
+            lengths.append(len(row_of) - start)
+            criteria.append(criterion.index)
+        row_of = np.array(row_of, dtype=np.intp)
+        token_rows = row_of < 0
+        row_of[token_rows] = n_rows + ~row_of[token_rows]
+        blocks += [token_embedding(tok, cfg.d_in) for tok in tokens]
+        rows = np.vstack(blocks, dtype=np.float64)
+        return cls(rows, row_of, np.array(lengths, dtype=np.intp), np.array(criteria, dtype=np.intp))
+
+    def batch(self, index) -> EpisodeBatch:
+        """The batch of episodes ``index`` (in that order; repeats allowed)."""
         index = np.asarray(index, dtype=np.intp)
         lengths = self.lengths[index]
-        rows = np.repeat(self.starts[index] - _segment_starts(lengths), lengths) + np.arange(int(lengths.sum()))
-        return EpisodeBatch(self.x[rows], lengths, self.criteria[index])
+        positions = np.repeat(self.starts[index] - _segment_starts(lengths), lengths) + np.arange(int(lengths.sum()))
+        return EpisodeBatch(self.rows[self.row_of[positions]], lengths, self.criteria[index])
 
 
 def pack_episodes(episodes: list[Episode], criteria: list[Criterion], cfg: ScorerConfig) -> EpisodeBatch:
-    """Pack episodes (each scored under its criterion) into one batch.
-
-    The one statement of the sequence layout. In one pass, each episode
-    contributes its zero placeholder row, then per turn its token rows and
-    its first ``max_frames_per_turn`` frames; one concatenation makes ``x``.
-    """
-    placeholder = np.zeros((1, cfg.d_in))
-    blocks, lengths = [np.zeros((0, cfg.d_in))], []  # the first block keeps an empty batch (0, d_in)
-    for ep in episodes:
-        blocks.append(placeholder)
-        lengths.append(1)
-        for turn in ep.turns:
-            if turn.d_in != cfg.d_in:
-                raise ShapeMismatchError(f"turn features have d_in={turn.d_in}, config expects {cfg.d_in}")
-            tokens = [token_embedding(tok, cfg.d_in) for tok in tokenize(turn.transcript)]
-            if tokens:
-                blocks.append(np.array(tokens))
-            frames = turn.features[: cfg.max_frames_per_turn]
-            blocks.append(frames)
-            lengths[-1] += len(tokens) + len(frames)
-    x = np.concatenate(blocks, dtype=np.float64)
-    return EpisodeBatch(x, np.array(lengths, dtype=np.intp), np.array([c.index for c in criteria], dtype=np.intp))
+    """Pack episodes (each scored under its criterion) into one batch, in order."""
+    table = RowTable.build(zip(episodes, criteria, strict=True), cfg)
+    return table.batch(np.arange(len(table)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,17 @@ taken at the params that scored the batch, with the per-pair upstreams
     dL/dr- = (1/n) * (+sigmoid(-(r+ - r-)) + 2 lambda (r+ + r-))
 
 which are verified against finite differences at the loss level in the
-test suite. Each layer takes one input type: :func:`total_loss` takes a
-:func:`pack_pairs` batch (training packs its pair set once and each step
-gathers its batch's rows by index), and forward-only scoring
-(:func:`score_pairs`, :func:`evaluate_loss`) takes the packed chunks of
-:func:`pair_chunks`, the one statement of how a pair set is split into
-forward passes.
+test suite. Each layer takes one input type, an
+:class:`~episcore.scorer.EpisodeBatch` of pairs (the chosen sides, then
+the rejected sides), and every such batch is a gather from a
+:func:`pair_table`, the :class:`~episcore.scorer.RowTable` of a pair set.
+:func:`train` reads its train and val pairs once each into two tables,
+from any iterable (``episcore train`` passes manifest streams, so the
+pairs are never held as objects); each step is a :func:`pair_batch`
+gather for :func:`total_loss`. Forward-only scoring (:func:`score_pairs`,
+:func:`evaluate_loss`) takes chunks of ``SCORE_CHUNK`` consecutive pairs:
+:func:`pair_chunks` pages any iterable of pairs into them, one table per
+page, and :func:`table_chunks` gathers the same chunks from a whole table.
 
 Determinism: the same params and the same batch composition give a
 bitwise-identical :class:`BatchLoss`, so a training run is bitwise
@@ -36,6 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +49,7 @@ import numpy as np
 from . import scorer
 from .episodes import PreferencePair
 from .errors import EmptyBatchError
-from .scorer import EpisodeBatch, ScorerConfig, ScorerParams
+from .scorer import EpisodeBatch, RowTable, ScorerConfig, ScorerParams
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -126,18 +132,24 @@ class BatchLoss:
     r_rejected: np.ndarray
 
 
-def pack_pairs(pairs: list[PreferencePair], cfg: ScorerConfig) -> EpisodeBatch:
-    """Pack the input rows of both sides of every pair into one batch:
-    the chosen sides in pair order, then the rejected sides."""
-    return scorer.pack_episodes(
-        [p.chosen for p in pairs] + [p.rejected for p in pairs], [p.criterion for p in pairs] * 2, cfg
-    )
+def pair_table(pairs: Iterable[PreferencePair], cfg: ScorerConfig) -> RowTable:
+    """The :class:`~episcore.scorer.RowTable` of a pair set, built in one
+    pass over ``pairs``; its episodes are ordered chosen0, rejected0,
+    chosen1, ..."""
+    return RowTable.build(((ep, p.criterion) for p in pairs for ep in (p.chosen, p.rejected)), cfg)
 
 
-def take_pairs(packed: EpisodeBatch, index) -> EpisodeBatch:
-    """The pairs ``index`` of a :func:`pack_pairs` batch, in the same layout."""
-    index = np.asarray(index, dtype=np.intp)
-    return packed.take(np.concatenate([index, index + len(packed) // 2]))
+def pair_batch(table: RowTable, index) -> EpisodeBatch:
+    """The pairs ``index`` of a :func:`pair_table`, gathered into one batch:
+    their chosen sides in that order, then their rejected sides."""
+    chosen = 2 * np.asarray(index, dtype=np.intp)
+    return table.batch(np.concatenate([chosen, chosen + 1]))
+
+
+def pack_pairs(pairs: Iterable[PreferencePair], cfg: ScorerConfig) -> EpisodeBatch:
+    """All of ``pairs`` as one :func:`pair_batch`."""
+    table = pair_table(pairs, cfg)
+    return pair_batch(table, np.arange(len(table) // 2))
 
 
 # Pairs per forward pass when scoring a whole pair set; bounds the memory
@@ -145,20 +157,30 @@ def take_pairs(packed: EpisodeBatch, index) -> EpisodeBatch:
 SCORE_CHUNK = 32
 
 
-def pair_chunks(pairs: list[PreferencePair], cfg: ScorerConfig) -> Iterator[EpisodeBatch]:
+def pair_chunks(pairs: Iterable[PreferencePair], cfg: ScorerConfig) -> Iterator[EpisodeBatch]:
     """:func:`pack_pairs` batches of ``SCORE_CHUNK`` consecutive pairs, in
-    order (the last one may be shorter), packed one at a time as they are
-    consumed. This chunk composition fixes the bits of every forward-only
-    score, so ``episcore score`` and train validation agree bitwise."""
-    for lo in range(0, len(pairs), SCORE_CHUNK):
-        yield pack_pairs(pairs[lo : lo + SCORE_CHUNK], cfg)
+    order (the last one may be shorter). ``pairs`` is read one page of
+    ``SCORE_CHUNK`` pairs at a time, as the batches are consumed, so a
+    stream is never held whole. This chunk composition fixes the bits of
+    every forward-only score, so ``episcore score`` and train validation
+    (:func:`table_chunks`) agree bitwise."""
+    pairs = iter(pairs)
+    while page := list(islice(pairs, SCORE_CHUNK)):
+        yield pack_pairs(page, cfg)
+
+
+def table_chunks(table: RowTable) -> Iterator[EpisodeBatch]:
+    """The batches of :func:`pair_chunks`, gathered from a :func:`pair_table`."""
+    n = len(table) // 2
+    for lo in range(0, n, SCORE_CHUNK):
+        yield pair_batch(table, np.arange(lo, min(lo + SCORE_CHUNK, n)))
 
 
 def score_pairs(
     chunks: Iterable[EpisodeBatch], cfg: ScorerConfig, params: ScorerParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward-only (chosen, rejected) scores of every pair of the
-    :func:`pack_pairs` batches ``chunks``, one forward pass per chunk."""
+    :func:`pair_batch` batches ``chunks``, one forward pass per chunk."""
     scores = [scorer.score_batch(chunk, cfg, params).r.reshape(2, -1) for chunk in chunks]
     r = np.concatenate(scores, axis=1) if scores else np.empty((2, 0))
     return r[0], r[1]
@@ -174,7 +196,7 @@ def _objective(r_chosen: np.ndarray, r_rejected: np.ndarray, lambda_center: floa
 def total_loss(
     batch: EpisodeBatch, cfg: ScorerConfig, params: ScorerParams, lambda_center: float = 1e-2
 ) -> BatchLoss:
-    """Objective of a :func:`pack_pairs` batch and its exact parameter gradients.
+    """Objective of a :func:`pair_batch` batch and its exact parameter gradients.
 
     Both sides of every pair are scored in the same pass so the centering
     term couples them pairwise, exactly as written above.
@@ -266,7 +288,7 @@ def evaluate_loss(
     chunks: Iterable[EpisodeBatch], cfg: ScorerConfig, params: ScorerParams, lambda_center: float
 ) -> tuple[float, float]:
     """(total loss, pairwise accuracy) on the held-out :func:`pair_chunks`
-    ``chunks``, forward only."""
+    (or :func:`table_chunks`) ``chunks``, forward only."""
     rc, rr = score_pairs(chunks, cfg, params)
     return _objective(rc, rr, lambda_center)[0], float(np.mean(rc > rr))
 
@@ -275,13 +297,18 @@ CHECKPOINT_WINDOW = 20
 
 
 def train(
-    pairs: list[PreferencePair],
-    val_pairs: list[PreferencePair],
+    pairs: Iterable[PreferencePair],
+    val_pairs: Iterable[PreferencePair],
     scorer_cfg: ScorerConfig,
     cfg: TrainConfig,
     checkpoint_dir: str | Path | None = None,
 ) -> TrainResult:
     """Run the pairwise training loop and return the best checkpoint.
+
+    ``pairs`` and then ``val_pairs`` are read once each, in one pass, into
+    a :func:`pair_table`; a stream is never held as pair objects. Each step
+    gathers its batch from the train table, and each validation pass
+    gathers the :func:`table_chunks` of the val table.
 
     Deterministic given ``cfg.seed``: parameter init and the shuffling
     stream both derive from it. Validation loss is measured every
@@ -290,18 +317,18 @@ def train(
     given, a rolling window of the 20 most recent eval-point checkpoints
     is kept on disk.
     """
-    if not pairs:
+    train_table = pair_table(pairs, scorer_cfg)
+    val_table = pair_table(val_pairs, scorer_cfg)
+    n = len(train_table) // 2
+    if n == 0:
         raise EmptyBatchError("training requires a non-empty pair set")
+    has_val = len(val_table) > 0
     root = np.random.SeedSequence(cfg.seed)
     init_ss, shuffle_ss = root.spawn(2)
     params = scorer.init_params(scorer_cfg, seed=int(init_ss.generate_state(1)[0]))
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_ss))
 
-    train_packed = pack_pairs(pairs, scorer_cfg)
-    val_chunks = list(pair_chunks(val_pairs, scorer_cfg))
-
     state = AdamState.init(params)
-    n = len(pairs)
     bs = min(cfg.batch_size, n)
     order = shuffle_rng.permutation(n)
     pos = 0
@@ -322,7 +349,7 @@ def train(
         idx = order[pos : pos + bs]
         pos += bs
 
-        result = total_loss(take_pairs(train_packed, idx), scorer_cfg, params, cfg.lambda_center)
+        result = total_loss(pair_batch(train_table, idx), scorer_cfg, params, cfg.lambda_center)
         grads, preclip = clip_gradients(result.grads, cfg.clip_norm)
         lr = lr_at_step(step, cfg)
         params = optimizer_step(params, grads, state, cfg, lr)
@@ -339,8 +366,8 @@ def train(
             batch_margin=float((result.r_chosen - result.r_rejected).mean()),
         )
 
-        if val_pairs and (step % cfg.eval_every == 0 or step == cfg.total_steps):
-            val_loss, val_acc = evaluate_loss(val_chunks, scorer_cfg, params, cfg.lambda_center)
+        if has_val and (step % cfg.eval_every == 0 or step == cfg.total_steps):
+            val_loss, val_acc = evaluate_loss(table_chunks(val_table), scorer_cfg, params, cfg.lambda_center)
             report.val_loss = val_loss
             report.val_accuracy = val_acc
             if val_loss < best_val:
@@ -357,7 +384,7 @@ def train(
 
         history.append(report)
 
-    if not val_pairs:
+    if not has_val:
         best_params = scorer.clone_params(params)
         best_step = cfg.total_steps
         best_val = math.nan

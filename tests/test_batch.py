@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import episcore.scorer as sc
-from episcore import Criterion, Episode, ScorerConfig, Turn, init_params, synth_config, synth_pairs, total_loss
+from episcore import (
+    Criterion, Episode, PreferencePair, ScorerConfig, Turn, init_params, synth_config, synth_pairs, total_loss
+)
 from episcore.gradcheck import relative_error
-from episcore.training import SCORE_CHUNK, evaluate_loss, pack_pairs, pair_chunks, score_pairs, take_pairs
+from episcore.training import (
+    SCORE_CHUNK, evaluate_loss, pack_pairs, pair_batch, pair_chunks, pair_table, score_pairs, table_chunks
+)
 
 VOCAB = ["yeah", "so", "okay", "right", "well", "um"]
 
@@ -51,24 +55,104 @@ def test_batched_scores_and_gradients_match_batch_of_one(case, seed):
             np.testing.assert_allclose(getattr(grads, name), want, rtol=0, atol=1e-12, err_msg=name)
 
 
-def test_take_gathers_the_same_rows_as_packing_those_episodes():
+def parent_pack(episodes, criteria, cfg):
+    """The packing that preceded ``RowTable``: per turn a token block and a
+    frame block, then one concatenation of every block."""
+    placeholder = np.zeros((1, cfg.d_in))
+    blocks, lengths = [np.zeros((0, cfg.d_in))], []
+    for ep in episodes:
+        blocks.append(placeholder)
+        lengths.append(1)
+        for turn in ep.turns:
+            tokens = [sc.token_embedding(tok, cfg.d_in) for tok in sc.tokenize(turn.transcript)]
+            if tokens:
+                blocks.append(np.array(tokens))
+            frames = turn.features[: cfg.max_frames_per_turn]
+            blocks.append(frames)
+            lengths[-1] += len(tokens) + len(frames)
+    x = np.concatenate(blocks, dtype=np.float64)
+    return sc.EpisodeBatch(x, np.array(lengths, dtype=np.intp), np.array([c.index for c in criteria], dtype=np.intp))
+
+
+@st.composite
+def pair_sets_and_indices(draw):
+    """0-5 pairs of 1-3 turns a side, 1-70 frames and 0-4 words a turn
+    (words shared across pairs), and a drawn list of pair indices: empty,
+    repeated and out of order ones included."""
+    d_in = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for i in range(draw(st.integers(0, 5))):
+        n_turns = draw(st.integers(1, 3))
+        sides = [
+            Episode(
+                f"p{i}-{side}",
+                [
+                    Turn(
+                        f"spk-{t % 2}",
+                        " ".join(draw(st.lists(st.sampled_from(VOCAB), max_size=4))),
+                        1.0,
+                        rng.standard_normal((draw(st.integers(1, 70)), d_in)),
+                    )
+                    for t in range(n_turns)
+                ],
+                "wild",
+            )
+            for side in "cr"
+        ]
+        pairs.append(PreferencePair(f"p{i}", *sides, draw(st.sampled_from(list(Criterion))), "train"))
+    index = draw(st.lists(st.integers(0, len(pairs) - 1), max_size=8)) if pairs else []
+    return d_in, pairs, index
+
+
+@given(pair_sets_and_indices(), st.integers(1, 60), st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_table_batches_equal_the_parent_packing_bit_for_bit(case, max_frames, seed):
+    d_in, pairs, index = case
+    chosen, rejected = [pairs[i].chosen for i in index], [pairs[i].rejected for i in index]
+    for mode in sc.POOLING_MODES:
+        cfg = ScorerConfig(d_in=d_in, d=4, pooling=mode, head_hidden=3, max_frames_per_turn=max_frames)
+        got = pair_batch(pair_table(pairs, cfg), index)
+        want = parent_pack(chosen + rejected, [pairs[i].criterion for i in index] * 2, cfg)
+        assert got.x.shape == want.x.shape == (int(want.lengths.sum()), d_in)
+        assert got.x.tobytes() == want.x.tobytes()
+        for field in ("lengths", "criteria", "starts"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        if index:
+            params = init_params(cfg, seed=seed)
+            assert sc.score_batch(got, cfg, params).r.tobytes() == sc.score_batch(want, cfg, params).r.tobytes()
+
+
+def test_table_keeps_each_kept_frame_and_each_distinct_token_once():
+    turns = [Turn("a", "Yeah yeah so", 1.0, np.arange(12.0).reshape(4, 3)), Turn("b", "so", 1.0, np.ones((1, 3)))]
+    cfg = ScorerConfig(d_in=3, max_frames_per_turn=2)
+    table = sc.RowTable.build([(Episode("e", turns, "wild"), Criterion.COLLOQUIALNESS)] * 2, cfg)
+    # The zero row, 2 + 1 kept frames per episode, then "yeah" and "so".
+    assert table.rows.shape == (1 + 2 * 3 + 2, 3)
+    assert np.array_equal(table.rows[7:], [sc.token_embedding("yeah", 3), sc.token_embedding("so", 3)])
+    assert table.row_of[: table.lengths[0]].tolist() == [0, 7, 7, 8, 1, 2, 8, 3]
+    assert table.lengths.tolist() == [8, 8] and table.criteria.tolist() == [1, 1]
+
+
+def test_table_batch_gathers_the_same_rows_as_packing_those_pairs():
     pairs = synth_pairs(synth_config(seed=3), 5)
     cfg = ScorerConfig(d_in=8, max_frames_per_turn=5)
-    taken = take_pairs(pack_pairs(pairs, cfg), [3, 0, 3])
+    taken = pair_batch(pair_table(pairs, cfg), [3, 0, 3])
     packed = pack_pairs([pairs[3], pairs[0], pairs[3]], cfg)
     for field in ("x", "starts", "lengths", "criteria"):
         assert np.array_equal(getattr(taken, field), getattr(packed, field)), field
 
 
-def test_take_composes_and_starts_derive_from_lengths():
+def test_table_batches_match_packing_and_starts_derive_from_lengths():
     pairs = synth_pairs(synth_config(seed=3), 5)
     cfg = ScorerConfig(d_in=8, max_frames_per_turn=5)
-    packed = sc.pack_episodes([p.chosen for p in pairs], [p.criterion for p in pairs], cfg)
-    twice = packed.take([4, 1, 3, 0]).take([2, 0, 2, 1])
-    once = packed.take([3, 4, 3, 1])
+    episodes, criteria = [p.chosen for p in pairs], [p.criterion for p in pairs]
+    table = sc.RowTable.build(zip(episodes, criteria), cfg)
+    taken = table.batch([3, 4, 3, 1])
+    packed = sc.pack_episodes([episodes[i] for i in (3, 4, 3, 1)], [criteria[i] for i in (3, 4, 3, 1)], cfg)
     for field in ("x", "starts", "lengths", "criteria"):
-        assert np.array_equal(getattr(twice, field), getattr(once, field)), field
-    for batch in (packed, twice):
+        assert np.array_equal(getattr(taken, field), getattr(packed, field)), field
+    for batch in (table, taken):
         assert np.array_equal(batch.starts, np.cumsum(batch.lengths) - batch.lengths)
 
 
@@ -82,7 +166,7 @@ def test_loss_gradients_of_a_gathered_batch_match_finite_differences(mode):
     cfg = ScorerConfig(d_in=8, d=3, pooling=mode, head_hidden=3)
     params = init_params(cfg, seed=6)
     pairs = synth_pairs(synth_config(seed=12), 6)
-    batch = take_pairs(pack_pairs(pairs, cfg), [4, 1, 5])
+    batch = pair_batch(pair_table(pairs, cfg), [4, 1, 5])
     assert len(set(batch.criteria.tolist())) == 2
     out = total_loss(batch, cfg, params, lambda_center=0.1)
     h = 1e-5
@@ -105,7 +189,7 @@ def test_same_batch_composition_gives_bitwise_identical_loss(mode):
     params = init_params(cfg, seed=2)
     pairs = synth_pairs(synth_config(seed=4), 9)
     a = total_loss(pack_pairs(pairs[2:7], cfg), cfg, params)
-    b = total_loss(take_pairs(pack_pairs(pairs, cfg), range(2, 7)), cfg, params)
+    b = total_loss(pair_batch(pair_table(pairs, cfg), range(2, 7)), cfg, params)
     assert (a.value, a.loss_pref, a.loss_center) == (b.value, b.loss_pref, b.loss_center)
     assert np.array_equal(a.r_chosen, b.r_chosen) and np.array_equal(a.r_rejected, b.r_rejected)
     for name in sc.PARAM_FIELDS:
@@ -122,15 +206,14 @@ def test_validation_loss_of_one_chunk_is_the_trained_loss_bitwise(n_pairs):
 
 
 def test_scoring_a_list_and_its_pack_agree_bitwise():
-    # The chunks of a list, packed one at a time (``episcore score``), and
-    # the same chunks gathered from one pack of the whole list: same bits.
+    # The chunks of a list, packed one page at a time (``episcore score``),
+    # and the same chunks gathered from one table of the whole list (train
+    # validation): same bits.
     cfg = ScorerConfig(d_in=8, pooling="attention")
     params = init_params(cfg, seed=2)
     pairs = synth_pairs(synth_config(seed=5), 70)  # three chunks, the last one partial
-    packed = pack_pairs(pairs, cfg)
-    gathered = (take_pairs(packed, range(lo, min(lo + SCORE_CHUNK, 70))) for lo in range(0, 70, SCORE_CHUNK))
     from_list = score_pairs(pair_chunks(pairs, cfg), cfg, params)
-    from_pack = score_pairs(gathered, cfg, params)
+    from_pack = score_pairs(table_chunks(pair_table(pairs, cfg)), cfg, params)
     assert all(np.array_equal(a, b) for a, b in zip(from_list, from_pack))
     assert from_list[0].shape == (70,)
     assert [len(chunk) // 2 for chunk in pair_chunks(pairs, cfg)] == [32, 32, 6]

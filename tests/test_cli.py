@@ -100,6 +100,33 @@ class TestTrainScoreEval:
         assert run("score", *argv) == 1
         assert "error[BAD_CHECKPOINT]" in capsys.readouterr().err
 
+    @staticmethod
+    def _spoil_last_line(lines, kind):
+        last = json.loads(lines[-1])
+        if kind == "PARSE_ERROR":
+            return lines[:-1] + ["{not json\n"]
+        if kind == "DUPLICATE_ID":
+            last["pair_id"] = json.loads(lines[0])["pair_id"]
+        else:  # the rejected side loses a turn
+            last["rejected"]["turns"] = last["rejected"]["turns"][:-1]
+        return lines[:-1] + [json.dumps(last) + "\n"]
+
+    @pytest.mark.parametrize("code", ["PARSE_ERROR", "DUPLICATE_ID", "INVARIANT_ERROR"])
+    def test_score_of_a_bad_last_line_fails_with_its_code_and_writes_no_scores(self, tmp_path, capsys, code):
+        # 40 pairs: the first page of 32 is scored before the bad line is read.
+        assert run("synth", "--n", 40, "--out", "p.jsonl", "--out-dir", tmp_path, "--seed", 3) == 0
+        manifest = tmp_path / "p.jsonl"
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        manifest.write_text("".join(self._spoil_last_line(lines, code)), encoding="utf-8")
+        ckpt = tmp_path / "m.ckpt"
+        cfg = scorer.ScorerConfig(d_in=8, pooling="attention")
+        scorer.save_checkpoint(ckpt, cfg, scorer.init_params(cfg, seed=1))
+        argv = ["--pairs", manifest, "--checkpoint", ckpt, "--out", "s.jsonl", "--out-dir", tmp_path / "out"]
+        assert run("score", *argv) == 1
+        assert capsys.readouterr().err.startswith(f"error[{code}]: line 40")
+        assert not (tmp_path / "out" / "s.jsonl").exists()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["run-manifest.json"]
+
     def test_full_cycle(self, tmp_path):
         train_dir = tmp_path / "run"
         assert run("synth", "--n", 64, "--out", "train.jsonl", "--out-dir", tmp_path, "--seed", 0) == 0

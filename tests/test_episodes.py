@@ -15,6 +15,7 @@ from episcore import (
     Episode,
     PreferencePair,
     Turn,
+    iter_pairs,
     read_episodes,
     read_pairs,
     read_segments,
@@ -37,6 +38,7 @@ from episcore.episodes import (
     read_features,
     shard_path,
     write_features,
+    write_jsonl,
 )
 from episcore.errors import DuplicateIdError, FeatureIOError, InvariantError, ManifestParseError, ShapeMismatchError
 
@@ -458,6 +460,69 @@ class TestFeatureShard:
         write_pairs([], path)
         assert read_pairs(path) == []
         assert read_features(shard_path(path)).shape == (0, 0)
+
+
+class TestIterPairs:
+    def test_missing_manifest_raises_at_the_call(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            iter_pairs(tmp_path / "nope.jsonl")
+
+    def test_pairs_before_a_bad_line_are_yielded_first(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        pairs = [make_pair(f"p{i}") for i in range(3)]
+        write_pairs(pairs, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        stream = iter_pairs(path)
+        assert [next(stream) for _ in pairs] == pairs
+        with pytest.raises(ManifestParseError) as err:
+            next(stream)
+        assert err.value.line == 4
+
+    def test_read_pairs_is_the_whole_stream(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs([make_pair(f"p{i}") for i in range(3)], path)
+        assert read_pairs(path) == list(iter_pairs(path))
+
+
+class TestJsonlWrites:
+    def test_segment_records_keep_their_bytes(self, tmp_path):
+        segments = [Segment("spk-a", 0.0, 1.5, "yeah é", "feats/a.f32"), Segment("spk-b", 2, 3.25, "", "b.f32")]
+        write_segments(SegmentManifest(segments), tmp_path / "segments.jsonl")
+        assert (tmp_path / "segments.jsonl").read_bytes() == (
+            '{"speaker_id":"spk-a","start_s":0.0,"end_s":1.5,"transcript":"yeah é","features_path":"feats/a.f32"}\n'
+            '{"speaker_id":"spk-b","start_s":2,"end_s":3.25,"transcript":"","features_path":"b.f32"}\n'
+        ).encode("utf-8")
+
+    def test_failing_records_leave_the_old_file_and_no_temporary_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_jsonl([{"a": 1}], path)
+
+        def records():
+            yield {"a": 2}
+            yield {"a": 3}
+            raise RuntimeError("record source failed")
+
+        with pytest.raises(RuntimeError, match="record source failed"):
+            write_jsonl(records(), path)
+        assert path.read_bytes() == b'{"a":1}\n'
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_the_old_file_is_replaced_not_rewritten(self, tmp_path):
+        # A reader that opened the old file keeps reading the old bytes.
+        path = tmp_path / "out.jsonl"
+        write_jsonl([{"a": 1}], path)
+        with open(path, "rb") as old:
+            write_jsonl(({"a": i} for i in range(2, 4)), path)
+            assert old.read() == b'{"a":1}\n'
+        assert path.read_bytes() == b'{"a":2}\n{"a":3}\n'
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_new_file_has_the_permissions_of_a_plain_open(self, tmp_path):
+        write_jsonl([{"a": 1}], tmp_path / "out.jsonl")
+        with open(tmp_path / "plain.jsonl", "w", encoding="utf-8"):
+            pass
+        assert os.stat(tmp_path / "out.jsonl").st_mode == os.stat(tmp_path / "plain.jsonl").st_mode
 
 
 # Ids and transcripts mix path separators, the escape character, whitespace

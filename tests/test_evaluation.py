@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,3 +250,26 @@ class TestReport:
         assert format_percent(0.96615) == "96.62"
         assert format_percent(0.5) == "50.00"
         assert format_percent(0.966107) == "96.61"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(
+        st.tuples(st.text(), _finite, _finite, st.text(), st.text()), unique_by=lambda rec: rec[0], max_size=8
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_score_file_round_trips_over_arbitrary_ids_and_finite_floats(records):
+    # Ids, subsets and criteria are arbitrary text, non-ASCII included;
+    # every score comes back with the same bits.
+    scored = [ScoredPair(*rec) for rec in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.jsonl"
+        write_scores(scored, path)
+        back = read_scores(path)
+    assert back == scored
+    assert [(s.r_chosen.hex(), s.r_rejected.hex()) for s in back] == [
+        (s.r_chosen.hex(), s.r_rejected.hex()) for s in scored
+    ]

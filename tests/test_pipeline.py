@@ -143,6 +143,31 @@ class TestGroupSegments:
         episodes = group_segments(manifest, GroupingConfig())
         assert [ep.n_turns for ep in episodes] == [2]
 
+    def test_a_shared_feature_file_is_read_once_and_turns_share_no_memory(self, tmp_path, monkeypatch):
+        # The four segments of tests/test_cli.py::TestPipelineCommands::test_group_filter_stratify_flow.
+        import episcore.episodes as episodes
+
+        feat = tmp_path / "seg.f32"
+        write_features(feat, np.full((3, 8), 0.5, dtype=np.float32))
+        segments = SegmentManifest(
+            [
+                Segment("a", 0.0, 10.0, "well yeah", str(feat)),
+                Segment("b", 10.0, 20.0, "okay right", str(feat)),
+                Segment("a", 20.0, 30.0, "so um", str(feat)),
+                Segment("b", 30.0, 40.0, "sure thing", str(feat)),
+            ]
+        )
+        calls = []
+        read = episodes.read_features
+        monkeypatch.setattr(episodes, "read_features", lambda p: calls.append(p) or read(p))
+        (episode,) = group_segments(segments, GroupingConfig())
+        assert calls == [str(feat)]
+        feats = [t.features for t in episode.turns]
+        assert all(np.array_equal(f, np.full((3, 8), 0.5)) for f in feats)
+        for i, a in enumerate(feats):
+            for b in feats[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
     def test_empty_manifest_raises(self):
         with pytest.raises(EmptyManifestError):
             group_segments(SegmentManifest([]), GroupingConfig())

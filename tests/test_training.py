@@ -272,3 +272,22 @@ class TestTrainLoop:
     def test_empty_train_set_raises(self):
         with pytest.raises(EmptyBatchError):
             train([], [], ScorerConfig(d_in=8), TrainConfig(total_steps=5))
+
+    def test_generators_give_the_results_of_lists(self, tmp_path):
+        train_pairs, val_pairs = self._tiny_sets()
+        scfg = ScorerConfig(d_in=8, d=8, head_hidden=8, pooling="attention", max_frames_per_turn=5)
+        tcfg = TrainConfig(total_steps=30, eval_every=7, batch_size=16, seed=5)
+        a = train(train_pairs, val_pairs, scfg, tcfg, checkpoint_dir=tmp_path / "a")
+        b = train((p for p in train_pairs), (p for p in val_pairs), scfg, tcfg, checkpoint_dir=tmp_path / "b")
+        assert a.history == b.history and (a.best_step, a.best_val_loss) == (b.best_step, b.best_val_loss)
+        assert a.best_params.flat.tobytes() == b.best_params.flat.tobytes()
+        for ckpt in (tmp_path / "a").iterdir():
+            assert ckpt.read_bytes() == (tmp_path / "b" / ckpt.name).read_bytes()
+        from_list, from_stream = list(pair_chunks(train_pairs, scfg)), list(pair_chunks(iter(train_pairs), scfg))
+        assert len(from_list) == len(from_stream) == 2  # 48 pairs: a full chunk and a partial one
+        for listed, streamed in zip(from_list, from_stream):
+            for field in ("x", "lengths", "criteria"):
+                assert getattr(listed, field).tobytes() == getattr(streamed, field).tobytes(), field
+        scores = score_pairs(from_list, scfg, a.best_params)
+        streamed = score_pairs(iter(from_stream), scfg, a.best_params)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(scores, streamed))
