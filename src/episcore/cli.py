@@ -66,7 +66,7 @@ def _write_training(out_dir: Path, scorer_cfg: scorer.ScorerConfig, result: trai
 
 def _write_report(out_dir: Path, scored: list[evaluation.ScoredPair]) -> evaluation.EvalReport:
     report = evaluation.build_report(scored)
-    _write_json(out_dir / "report.json", report.to_dict())
+    _write_json(out_dir / "report.json", dataclasses.asdict(report))
     (out_dir / "report.csv").write_text(evaluation.report_csv(report), encoding="utf-8")
     return report
 

@@ -8,8 +8,11 @@ frames in one shard, ``<manifest file name>.f32``, and each turn record
 names its ``row`` and ``frames`` there. An episode manifest keeps one
 sidecar file per turn. A turn record without ``row``/``frames`` is all of
 its file, so both layouts, and pair manifests that still use per-turn
-sidecars, load through the same reader, which opens each file once.
-:func:`iter_pairs` streams a pair manifest one validated pair at a time.
+sidecars, load through the same reader, which opens each file once. It
+keeps no rows of a shard: each record's rows are read, with one
+positioned read, into arrays that only its turns hold.
+:func:`iter_pairs` streams a pair manifest one validated pair at a time,
+so a consumer that drops pairs holds only the rows of those it keeps.
 Every JSONL file is written through :func:`write_jsonl`, which replaces
 the old file atomically.
 
@@ -31,7 +34,7 @@ import json
 import os
 import struct
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -162,7 +165,7 @@ class PreferencePair:
             raise ValueError(f"unknown split {self.split!r}, expected one of {SPLITS}")
         codes = validate_pair(self.chosen, self.rejected)
         if codes:
-            raise ValueError(f"pair {self.pair_id}: {', '.join(codes)}")
+            raise InvariantError(codes, message=f"pair {self.pair_id}")
 
     @property
     def source_tier(self) -> str:
@@ -264,6 +267,27 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
         fh.write(arr)
 
 
+def _open_features(path: str | Path):
+    """Open a feature file and check its size against its header: (file,
+    rows, d_in), the file positioned at its first row. A truncated or
+    over-long file is FEATURE_IO; OSError is left to the caller."""
+    fh = open(path, "rb")
+    try:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _SIDECAR_HEADER.size:
+            raise FeatureIOError(f"feature sidecar {path} is truncated (no header)")
+        n_frames, d_in = _SIDECAR_HEADER.unpack(fh.read(_SIDECAR_HEADER.size))
+        expected = _SIDECAR_HEADER.size + n_frames * d_in * 4
+        if size != expected:
+            raise FeatureIOError(
+                f"feature sidecar {path}: expected {expected} bytes for ({n_frames}, {d_in}), got {size}"
+            )
+    except BaseException:
+        fh.close()
+        raise
+    return fh, n_frames, d_in
+
+
 def read_features(path: str | Path) -> np.ndarray:
     """Read a feature file into a writable ``(rows, d_in)`` float32 array.
 
@@ -271,20 +295,26 @@ def read_features(path: str | Path) -> np.ndarray:
     so the rows take one allocation. A missing, truncated or over-long file
     is FEATURE_IO."""
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size < _SIDECAR_HEADER.size:
-                raise FeatureIOError(f"feature sidecar {path} is truncated (no header)")
-            n_frames, d_in = _SIDECAR_HEADER.unpack(fh.read(_SIDECAR_HEADER.size))
-            expected = _SIDECAR_HEADER.size + n_frames * d_in * 4
-            if size != expected:
-                raise FeatureIOError(
-                    f"feature sidecar {path}: expected {expected} bytes for ({n_frames}, {d_in}), got {size}"
-                )
+        fh, n_frames, d_in = _open_features(path)
+        with fh:
             flat = np.fromfile(fh, dtype="<f4", count=n_frames * d_in)
     except OSError as exc:
         raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}") from exc
     return flat.reshape(n_frames, d_in)
+
+
+def _read_rows(fh, path: str, row: int, end: int, buffers: list[np.ndarray], line: int) -> None:
+    """Fill ``buffers`` with rows ``[row, end)`` of the open feature file
+    ``fh``, in order, with one positioned read (``os.preadv``, so POSIX
+    only)."""
+    row_bytes = buffers[0].shape[1] * 4
+    offset, want = _SIDECAR_HEADER.size + row * row_bytes, (end - row) * row_bytes
+    try:
+        got = os.preadv(fh.fileno(), buffers, offset)
+    except OSError as exc:
+        raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}", line=line) from exc
+    if got != want:
+        raise FeatureIOError(f"feature sidecar {path}: read {got} of {want} bytes at row {row}", line=line)
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +453,37 @@ def _episode_record(ep: Episode, turns: list[dict]) -> dict:
     }
 
 
-class _FeatureFiles:
+# Arrays per positioned read at most: IOV_MAX on Linux, macOS and the BSDs.
+_MAX_READ_BUFFERS = 1024
+_FRAME_DTYPE = np.dtype("<f4")  # the byte order of feature files, which preadv copies as is
+
+
+class _FeatureFiles(ExitStack):
     """The feature files one manifest read (or one grouping call) refers
-    to, each read once.
+    to; closing it (it is an ``ExitStack``) closes the files it opened.
+
+    A turn record without ``row``/``frames`` is all rows of its file (a
+    per-turn sidecar, or a segment's feature file). Such a file is read
+    whole, once, and kept: the first turn that names it gets its array and
+    each later one a copy, so turns never share memory.
 
     A turn record with ``row`` and ``frames`` is those rows of its
-    ``features_path``; one without them is all rows of its file (a
-    per-turn sidecar). Turns get views of the file's array. A range that
-    does not start past every range handed out before from the same file
-    may overlap one of them, so it gets a copy: turns never share memory.
+    ``features_path`` (a pair manifest's shard). The file is opened and
+    its header checked once; no rows of it are kept. Such turns are parsed
+    inside :meth:`record`: each gets its own array, and when the record
+    ends, the rows it names are read into them with one positioned read
+    per run of turns, in turn order, whose rows follow each other in one
+    file (one per record of a shard written by :func:`write_pairs`). So a
+    stream of pairs holds the rows of the pairs it has not dropped, and
+    nothing more.
     """
 
     def __init__(self, base_dir: str = ""):
+        super().__init__()
         self.base_dir = base_dir
-        self.files: dict[str, list] = {}  # path -> [rows, end of the ranges handed out]
+        self.files: dict[str, np.ndarray] = {}  # path -> all its rows
+        self.shards: dict[str, tuple] = {}  # path -> (open file, rows, d_in)
+        self.pending: list | None = None  # inside record(): (file, path, row, array) to read at its end
 
     def rows(self, rec: dict, line: int) -> np.ndarray:
         path = os.path.join(self.base_dir, _get(rec, "features_path", str))
@@ -445,24 +492,51 @@ class _FeatureFiles:
         row, frames = _get(rec, "row", int), _get(rec, "frames", int)
         if row < 0 or frames < 1:
             raise ValueError(f"'row' must be >= 0 and 'frames' >= 1, not {row} and {frames}")
-        return self.take(path, row, frames, line)
-
-    def take(self, path: str, row: int = 0, frames: int | None = None, line: int | None = None) -> np.ndarray:
-        """Rows ``[row, row + frames)`` of the feature file ``path``; all of
-        its rows when ``frames`` is None."""
-        entry = self.files.get(path)
-        if entry is None:
-            entry = self.files[path] = [read_features(path), 0]
-        arr, handed_out = entry
-        if frames is None:
-            frames = len(arr)
-        elif row + frames > len(arr):
+        fh, n_rows, d_in = self.shards.get(path) or self._open(path)
+        if row + frames > n_rows:
             raise FeatureIOError(
-                f"feature file {path}: rows [{row}, {row + frames}) past its {len(arr)} rows", line=line
+                f"feature file {path}: rows [{row}, {row + frames}) past its {n_rows} rows", line=line
             )
-        view = arr[row : row + frames]
-        entry[1] = max(handed_out, row + frames)
-        return view.copy() if row < handed_out else view
+        out = np.empty((frames, d_in), dtype=_FRAME_DTYPE)
+        self.pending.append((fh, path, row, out))
+        return out
+
+    def _open(self, path: str) -> tuple:
+        try:
+            shard = self.shards[path] = _open_features(path)
+        except OSError as exc:
+            raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}") from exc
+        self.enter_context(shard[0])
+        return shard
+
+    @contextmanager
+    def record(self, line: int):
+        """Parse the turns of the JSONL record at ``line`` in this block; the
+        rows they name by ``row``/``frames`` are read when it ends."""
+        self.pending = pending = []
+        try:
+            yield
+        finally:
+            self.pending = None
+        runs: list[list] = []  # [file, path, first row, end row, arrays], in turn order
+        for fh, path, row, out in pending:
+            run = runs[-1] if runs else None
+            if run and run[0] is fh and run[3] == row and len(run[4]) < _MAX_READ_BUFFERS:
+                run[3] += len(out)
+                run[4].append(out)
+            else:
+                runs.append([fh, path, row, row + len(out), [out]])
+        for run in runs:
+            _read_rows(*run, line)
+
+    def take(self, path: str) -> np.ndarray:
+        """All rows of the feature file ``path``, read the first time it is
+        taken; each later take of it gets a copy."""
+        arr = self.files.get(path)
+        if arr is not None:
+            return arr.copy()
+        arr = self.files[path] = read_features(path)
+        return arr
 
 
 def _parse_turn(rec: dict, files: _FeatureFiles, line: int) -> Turn:
@@ -584,23 +658,29 @@ def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
     :class:`DuplicateIdError` (with the line number) for a pair_id seen on
     an earlier line; and :class:`InvariantError` (with the violation codes)
     for records whose episodes fail validation or whose sides disagree on
-    turn count or tier. Each feature file is read once, when a pair first
-    names it, and every turn holds its own rows of it (see module
-    docstring).
+    turn count or tier. A shard's rows are read record by record, with
+    one positioned read per record (see :class:`_FeatureFiles`); every
+    turn holds its own array of its rows, and the reader keeps none, so a
+    dropped pair's rows are freed. Each pair is validated once: the
+    episode rules here, the pair rules by :class:`PreferencePair`.
     """
     return _pairs(read_jsonl(path), _FeatureFiles(os.path.dirname(path)))
 
 
 def _pairs(records: Iterator[tuple[int, dict]], files: _FeatureFiles) -> Iterator[PreferencePair]:
-    for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(records):
-        with _record("pair record", lineno):
-            chosen = _parse_episode(rec["chosen"], files, lineno, source_tier)
-            rejected = _parse_episode(rec["rejected"], files, lineno, source_tier)
-        codes = validate_episode(chosen) + validate_episode(rejected)
-        codes += validate_pair(chosen, rejected)
-        if codes:
-            raise InvariantError(sorted(set(codes)), message=f"pair {pair_id}", line=lineno)
-        yield PreferencePair(pair_id, chosen, rejected, criterion, split)
+    with files:
+        for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(records):
+            with _record("pair record", lineno), files.record(lineno):
+                chosen = _parse_episode(rec["chosen"], files, lineno, source_tier)
+                rejected = _parse_episode(rec["rejected"], files, lineno, source_tier)
+            codes = validate_episode(chosen) + validate_episode(rejected)
+            try:
+                pair = PreferencePair(pair_id, chosen, rejected, criterion, split)  # validates the pair
+            except InvariantError as exc:
+                codes += exc.codes
+            if codes:
+                raise InvariantError(sorted(set(codes)), message=f"pair {pair_id}", line=lineno)
+            yield pair
 
 
 def read_pairs(path: str | Path) -> list[PreferencePair]:
@@ -659,14 +739,14 @@ def read_episodes(path: str | Path) -> list[Episode]:
     filter) downstream. An episode_id seen on an earlier line raises
     DUPLICATE_ID with the line number.
     """
-    files = _FeatureFiles(os.path.dirname(path))
     episodes = []
     seen: set[str] = set()
-    for lineno, rec in read_jsonl(path):
-        with _record("episode record", lineno):
-            ep = _parse_episode(rec, files, lineno, _get(rec, "source_tier", str))
-        _claim_id(seen, ep.episode_id, "episode_id", lineno)
-        episodes.append(ep)
+    with _FeatureFiles(os.path.dirname(path)) as files:
+        for lineno, rec in read_jsonl(path):
+            with _record("episode record", lineno), files.record(lineno):
+                ep = _parse_episode(rec, files, lineno, _get(rec, "source_tier", str))
+            _claim_id(seen, ep.episode_id, "episode_id", lineno)
+            episodes.append(ep)
     return episodes
 
 

@@ -30,8 +30,9 @@ class DuplicateIdError(ManifestParseError):
     code = "DUPLICATE_ID"
 
 
-class InvariantError(EpiscoreError):
-    """A structurally parseable record violates domain invariants."""
+class InvariantError(EpiscoreError, ValueError):
+    """A structurally parseable record, or a pair built in memory, violates
+    domain invariants."""
 
     code = "INVARIANT_ERROR"
 

@@ -189,9 +189,6 @@ class EvalReport:
     mean_rejected: float
     drift: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def build_report(scored: list[ScoredPair]) -> EvalReport:
     """Accuracy, aggregation, and distribution summary in one document."""

@@ -17,9 +17,10 @@ sequence is pooled (last / mean / attention), and a one-hidden-layer tanh
 MLP maps the pooled vector to a scalar reward.
 
 The layout is stated once, by :class:`RowTable`: it keeps each kept
-frame row and each distinct token embedding once, plus the table row of
-each position of each episode's sequence, and builds any batch of its
-episodes with one fancy-index gather. Scoring takes one input type, a
+frame row once at its file precision (float32) and each distinct token
+embedding once (float64), plus the table row of each position of each
+episode's sequence, and builds the float64 rows of any batch of its
+episodes with one gather. Scoring takes one input type, a
 ragged :class:`EpisodeBatch` (segment starts derive from lengths):
 :func:`pack_episodes` is the table batch of a list of episodes,
 :func:`score_batch` scores a batch in one forward pass, and
@@ -215,17 +216,22 @@ class RowTable:
     """The one statement of the sequence layout: the distinct input rows
     of a set of episodes, and the row at each position of each sequence.
 
-    ``rows`` holds a zero row, then each kept frame row once (the first
+    The rows are held once each, in two tables numbered as one row space.
+    ``frames`` holds a zero row, then each kept frame row once (the first
     ``max_frames_per_turn`` frames of each turn, in episode and turn
-    order), then each distinct token's embedding once, in order of first
-    use. Episode i's sequence is ``rows[row_of[starts[i] : starts[i] +
-    lengths[i]]]``: the zero row (the criterion position), then per turn
-    its token rows and its kept frame rows. :meth:`batch` gathers the
-    sequences of any episodes with one fancy index.
+    order) at its file precision, float32. ``tokens`` holds each distinct
+    token's float64 embedding once, in order of first use; token k is row
+    ``len(frames) + k``. Episode i's sequence is the rows ``row_of[starts[i]
+    : starts[i] + lengths[i]]`` (int32): the zero row (the criterion
+    position), then per turn its token rows and its kept frame rows.
+    :meth:`batch` gathers the sequences of any episodes into float64 rows;
+    widening float32 to float64 is exact, so a batch holds the very values
+    a float64 table would give.
     """
 
-    rows: np.ndarray      # (N, d_in) float64
-    row_of: np.ndarray    # (P,) table row of each sequence position, episodes back to back
+    frames: np.ndarray    # (F, d_in) float32: the zero row, then the kept frame rows
+    tokens: np.ndarray    # (T, d_in) float64: the distinct token embeddings
+    row_of: np.ndarray    # (P,) int32 row of each sequence position, episodes back to back
     lengths: np.ndarray   # (E,) sequence length of each episode, >= 1
     criteria: np.ndarray  # (E,) criterion-embedding row of each episode
     starts: np.ndarray = field(init=False)  # (E,) first position of each episode in row_of
@@ -239,13 +245,13 @@ class RowTable:
     @classmethod
     def build(cls, items: Iterable[tuple[Episode, Criterion]], cfg: ScorerConfig) -> "RowTable":
         """The table of ``items`` (each episode scored under its criterion),
-        built in one pass: of each episode, only its kept frame rows are
-        held until the rows are stacked, so a stream of episodes is never
-        held whole."""
-        blocks = [np.zeros((1, cfg.d_in))]  # the zero row, then the kept frames of each turn
+        built in one pass: each turn's kept frame rows are copied into the
+        frame table as the turn passes, so a stream of episodes is never
+        held whole, and nothing but the table keeps their rows."""
+        frames = array("f", bytes(4 * cfg.d_in))  # the zero row, then the kept frames of each turn
         n_rows = 1
         tokens: dict[str, int] = {}  # token -> its number among the distinct tokens
-        row_of = array("q")  # a frame row, or ~k for the k-th distinct token
+        row_of = array("i")  # a frame row, or ~k for the k-th distinct token
         lengths, criteria = array("q"), array("q")
         for ep, criterion in items:
             start = len(row_of)
@@ -254,25 +260,38 @@ class RowTable:
                 if turn.d_in != cfg.d_in:
                     raise ShapeMismatchError(f"turn features have d_in={turn.d_in}, config expects {cfg.d_in}")
                 row_of.extend([~tokens.setdefault(tok, len(tokens)) for tok in tokenize(turn.transcript)])
-                frames = turn.features[: cfg.max_frames_per_turn]
-                blocks.append(frames)
-                row_of.extend(range(n_rows, n_rows + len(frames)))
-                n_rows += len(frames)
+                kept = turn.features[: cfg.max_frames_per_turn]
+                frames.frombytes(kept.astype(np.float32, copy=False).tobytes())
+                row_of.extend(range(n_rows, n_rows + len(kept)))
+                n_rows += len(kept)
             lengths.append(len(row_of) - start)
             criteria.append(criterion.index)
-        row_of = np.array(row_of, dtype=np.intp)
+        row_of = np.frombuffer(row_of, dtype=np.int32)
         token_rows = row_of < 0
         row_of[token_rows] = n_rows + ~row_of[token_rows]
-        blocks += [token_embedding(tok, cfg.d_in) for tok in tokens]
-        rows = np.vstack(blocks, dtype=np.float64)
-        return cls(rows, row_of, np.array(lengths, dtype=np.intp), np.array(criteria, dtype=np.intp))
+        return cls(
+            np.frombuffer(frames, dtype=np.float32).reshape(-1, cfg.d_in),
+            np.array([token_embedding(tok, cfg.d_in) for tok in tokens]).reshape(-1, cfg.d_in),
+            row_of,
+            np.array(lengths, dtype=np.intp),
+            np.array(criteria, dtype=np.intp),
+        )
 
     def batch(self, index) -> EpisodeBatch:
-        """The batch of episodes ``index`` (in that order; repeats allowed)."""
+        """The batch of episodes ``index`` (in that order; repeats allowed).
+
+        One gather from the frame table (token rows clip to its last row),
+        widened to float64; then the token positions are overwritten from
+        the token table."""
         index = np.asarray(index, dtype=np.intp)
         lengths = self.lengths[index]
         positions = np.repeat(self.starts[index] - _segment_starts(lengths), lengths) + np.arange(int(lengths.sum()))
-        return EpisodeBatch(self.rows[self.row_of[positions]], lengths, self.criteria[index])
+        rows = self.row_of[positions]
+        n_frames = len(self.frames)
+        x = self.frames.take(rows, axis=0, mode="clip").astype(np.float64)
+        token_at = np.flatnonzero(rows >= n_frames)
+        x[token_at] = self.tokens.take(rows[token_at] - n_frames, axis=0)
+        return EpisodeBatch(x, lengths, self.criteria[index])
 
 
 def pack_episodes(episodes: list[Episode], criteria: list[Criterion], cfg: ScorerConfig) -> EpisodeBatch:

@@ -127,11 +127,15 @@ def test_table_keeps_each_kept_frame_and_each_distinct_token_once():
     turns = [Turn("a", "Yeah yeah so", 1.0, np.arange(12.0).reshape(4, 3)), Turn("b", "so", 1.0, np.ones((1, 3)))]
     cfg = ScorerConfig(d_in=3, max_frames_per_turn=2)
     table = sc.RowTable.build([(Episode("e", turns, "wild"), Criterion.COLLOQUIALNESS)] * 2, cfg)
-    # The zero row, 2 + 1 kept frames per episode, then "yeah" and "so".
-    assert table.rows.shape == (1 + 2 * 3 + 2, 3)
-    assert np.array_equal(table.rows[7:], [sc.token_embedding("yeah", 3), sc.token_embedding("so", 3)])
-    assert table.row_of[: table.lengths[0]].tolist() == [0, 7, 7, 8, 1, 2, 8, 3]
+    # The zero row and 2 + 1 kept frames per episode at file precision; then "yeah" and "so" in float64.
+    kept = [[0, 1, 2], [3, 4, 5], [1, 1, 1]]
+    assert table.frames.dtype == np.float32 and np.array_equal(table.frames, [[0, 0, 0]] + kept + kept)
+    assert table.tokens.dtype == np.float64
+    assert np.array_equal(table.tokens, [sc.token_embedding("yeah", 3), sc.token_embedding("so", 3)])
+    assert table.row_of.dtype == np.int32 and table.row_of[: table.lengths[0]].tolist() == [0, 7, 7, 8, 1, 2, 8, 3]
     assert table.lengths.tolist() == [8, 8] and table.criteria.tolist() == [1, 1]
+    x = table.batch([0]).x
+    assert x.dtype == np.float64 and np.array_equal(x[1:4], table.tokens[[0, 0, 1]])
 
 
 def test_table_batch_gathers_the_same_rows_as_packing_those_pairs():

@@ -1,8 +1,10 @@
 import functools
+import gc
 import json
 import operator
 import os
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +210,23 @@ class TestPairManifest:
             read_pairs(path)
         assert TURN_COUNT_MISMATCH in exc.value.codes
 
+    def test_each_pair_read_is_validated_once(self, tmp_path, monkeypatch):
+        import episcore.episodes as episodes
+
+        path = tmp_path / "pairs.jsonl"
+        write_pairs([make_pair(f"p{i}", n_turns=4) for i in range(3)], path)
+        calls, validate = [], episodes.validate_pair
+        monkeypatch.setattr(episodes, "validate_pair", lambda c, r: calls.append(c.episode_id) or validate(c, r))
+        assert len(read_pairs(path)) == 3 and len(calls) == 3
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["rejected"]["turns"] = rec["rejected"]["turns"][:3]  # odd, and one turn short of the chosen side
+        path.write_text("\n".join([lines[0], json.dumps(rec), lines[2]]) + "\n")
+        calls.clear()
+        with pytest.raises(InvariantError) as exc:
+            read_pairs(path)
+        assert exc.value.codes == [ODD_TURNS, TURN_COUNT_MISMATCH] and exc.value.line == 2 and len(calls) == 2
+
     def test_unknown_tier_is_a_parse_error(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         write_pairs([make_pair()], path)
@@ -347,14 +366,34 @@ class TestFeatureShard:
         assert shard_path(tmp_path / "p.f32") == tmp_path / "p.f32.f32"
 
     def test_each_feature_file_is_read_once(self, tmp_path, monkeypatch):
+        # One positioned read per record, of the rows it names; together they read each shard row once.
         import episcore.episodes as episodes
 
         path = tmp_path / "pairs.jsonl"
-        write_pairs(self._pairs(), path)
-        calls = []
-        monkeypatch.setattr(episodes, "read_features", lambda p: calls.append(p) or read_features(p))
+        pairs = self._pairs()
+        write_pairs(pairs, path)
+        reads, preadv = [], os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, bufs, at: reads.append((at, sum(b.nbytes for b in bufs)))
+                            or preadv(fd, bufs, at))
+        monkeypatch.setattr(episodes, "read_features", lambda p: pytest.fail(f"read {p} whole"))
         read_pairs(path)
-        assert calls == [str(shard_path(path))]
+        row_bytes = 4 * D_IN
+        sizes = [row_bytes * sum(t.n_frames for t in p.chosen.turns + p.rejected.turns) for p in pairs]
+        starts = np.cumsum([0] + sizes[:-1]) + 16  # past the header
+        assert reads == list(zip(starts.tolist(), sizes))
+        assert starts[-1] + sizes[-1] == os.path.getsize(shard_path(path))
+
+    def test_a_dropped_pair_leaves_none_of_its_rows_behind(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(self._pairs(), path)
+        stream = iter_pairs(path)
+        first, second = next(stream), next(stream)
+        feats = [t.features for t in first.chosen.turns + first.rejected.turns]
+        refs = [weakref.ref(f if f.base is None else f.base) for f in feats]
+        del first, feats
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert [p.pair_id for p in stream] == ["p2"] and second.pair_id == "p1"
 
     def test_turns_hold_disjoint_writable_rows(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
@@ -395,6 +434,14 @@ class TestFeatureShard:
         assert back == pairs
         feats = [t.features for p in back for t in p.chosen.turns + p.rejected.turns]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(feats) for b in feats[i + 1 :])
+
+    def test_a_record_of_more_turns_than_one_read_takes_fails_by_its_rule(self, tmp_path):
+        # 2 x 600 turns are more arrays than one positioned read takes (IOV_MAX, 1024).
+        path = tmp_path / "pairs.jsonl"
+        write_pairs([make_pair("long", n_turns=600)], path)
+        with pytest.raises(InvariantError) as exc:
+            read_pairs(path)
+        assert exc.value.codes == [TOO_MANY_TURNS] and exc.value.line == 1
 
     @pytest.mark.parametrize(
         "fields, error",

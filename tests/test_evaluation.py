@@ -205,8 +205,9 @@ class TestReport:
 
     def test_report_dict_is_json_shaped(self):
         import json
+        from dataclasses import asdict
 
-        payload = build_report(self._scored_all_subsets()).to_dict()
+        payload = asdict(build_report(self._scored_all_subsets()))
         assert json.loads(json.dumps(payload)) == payload
 
     def test_score_file_round_trip(self, tmp_path):
