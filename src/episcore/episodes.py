@@ -6,13 +6,13 @@ next to each manifest; the JSONL manifests themselves carry only metadata,
 which keeps them small and diffable. A pair manifest keeps every turn's
 frames in one shard, ``<manifest file name>.f32``, and each turn record
 names its ``row`` and ``frames`` there. An episode manifest keeps one
-sidecar file per turn. A turn record without ``row``/``frames`` is all of
-its file, so both layouts, and pair manifests that still use per-turn
-sidecars, load through the same reader, which opens each file once. It
-keeps no rows of a shard: each record's rows are read, with one
-positioned read, into arrays that only its turns hold.
-:func:`iter_pairs` streams a pair manifest one validated pair at a time,
-so a consumer that drops pairs holds only the rows of those it keeps.
+sidecar file per turn, and a turn record without ``row``/``frames`` is all
+rows of its file. So every turn is a row range of a feature file, and
+every layout loads through one reader: each turn's rows are read into an
+array that only it holds, nothing is kept, and one feature file is open
+at a time. :func:`iter_pairs` streams a pair manifest one validated pair
+at a time, so a consumer that drops pairs holds only the rows of those it
+keeps.
 Every JSONL file is written through :func:`write_jsonl`, which replaces
 the old file atomically.
 
@@ -34,7 +34,7 @@ import json
 import os
 import struct
 from collections.abc import Iterable, Iterator
-from contextlib import ExitStack, contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -253,6 +253,9 @@ def validate_pair(chosen: Episode, rejected: Episode) -> list[str]:
 # ---------------------------------------------------------------------------
 
 _SIDECAR_HEADER = struct.Struct("<QQ")
+_FRAME_DTYPE = np.dtype("<f4")  # the byte order of feature files, which preadv copies as is
+# Arrays per positioned read at most: IOV_MAX on Linux, macOS and the BSDs.
+_MAX_READ_BUFFERS = 1024
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
@@ -269,44 +272,43 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
 
 def _open_features(path: str | Path):
     """Open a feature file and check its size against its header: (file,
-    rows, d_in), the file positioned at its first row. A truncated or
-    over-long file is FEATURE_IO; OSError is left to the caller."""
-    fh = open(path, "rb")
+    rows, d_in). A file that cannot be opened, or is truncated or
+    over-long, is FEATURE_IO."""
     try:
-        size = os.fstat(fh.fileno()).st_size
-        if size < _SIDECAR_HEADER.size:
-            raise FeatureIOError(f"feature sidecar {path} is truncated (no header)")
-        n_frames, d_in = _SIDECAR_HEADER.unpack(fh.read(_SIDECAR_HEADER.size))
-        expected = _SIDECAR_HEADER.size + n_frames * d_in * 4
-        if size != expected:
-            raise FeatureIOError(
-                f"feature sidecar {path}: expected {expected} bytes for ({n_frames}, {d_in}), got {size}"
-            )
-    except BaseException:
-        fh.close()
-        raise
+        fh = open(path, "rb")
+        try:
+            size = os.fstat(fh.fileno()).st_size
+            if size < _SIDECAR_HEADER.size:
+                raise FeatureIOError(f"feature sidecar {path} is truncated (no header)")
+            n_frames, d_in = _SIDECAR_HEADER.unpack(fh.read(_SIDECAR_HEADER.size))
+            expected = _SIDECAR_HEADER.size + n_frames * d_in * 4
+            if size != expected:
+                raise FeatureIOError(
+                    f"feature sidecar {path}: expected {expected} bytes for ({n_frames}, {d_in}), got {size}"
+                )
+        except BaseException:
+            fh.close()
+            raise
+    except OSError as exc:
+        raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}") from exc
     return fh, n_frames, d_in
 
 
 def read_features(path: str | Path) -> np.ndarray:
-    """Read a feature file into a writable ``(rows, d_in)`` float32 array.
-
-    The file size is checked against the header before the rows are read,
-    so the rows take one allocation. A missing, truncated or over-long file
-    is FEATURE_IO."""
-    try:
-        fh, n_frames, d_in = _open_features(path)
-        with fh:
-            flat = np.fromfile(fh, dtype="<f4", count=n_frames * d_in)
-    except OSError as exc:
-        raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}") from exc
-    return flat.reshape(n_frames, d_in)
+    """Read a feature file into a writable ``(rows, d_in)`` float32 array
+    with one :func:`_read_rows`. A missing, truncated or over-long file is
+    FEATURE_IO."""
+    fh, n_frames, d_in = _open_features(path)
+    out = np.empty((n_frames, d_in), dtype=_FRAME_DTYPE)
+    with fh:
+        _read_rows(fh, path, 0, n_frames, [out])
+    return out
 
 
-def _read_rows(fh, path: str, row: int, end: int, buffers: list[np.ndarray], line: int) -> None:
+def _read_rows(fh, path: str | Path, row: int, end: int, buffers: list[np.ndarray], line: int | None = None) -> None:
     """Fill ``buffers`` with rows ``[row, end)`` of the open feature file
     ``fh``, in order, with one positioned read (``os.preadv``, so POSIX
-    only)."""
+    only). Rows leave a feature file only here."""
     row_bytes = buffers[0].shape[1] * 4
     offset, want = _SIDECAR_HEADER.size + row * row_bytes, (end - row) * row_bytes
     try:
@@ -453,108 +455,92 @@ def _episode_record(ep: Episode, turns: list[dict]) -> dict:
     }
 
 
-# Arrays per positioned read at most: IOV_MAX on Linux, macOS and the BSDs.
-_MAX_READ_BUFFERS = 1024
-_FRAME_DTYPE = np.dtype("<f4")  # the byte order of feature files, which preadv copies as is
+class _FeatureFiles:
+    """The reader of the feature files one manifest names. Every turn is a
+    row range of a feature file: its ``row`` and ``frames`` (a pair
+    manifest's shard), or all rows of the file when the record has
+    neither (a per-turn sidecar).
 
-
-class _FeatureFiles(ExitStack):
-    """The feature files one manifest read (or one grouping call) refers
-    to; closing it (it is an ``ExitStack``) closes the files it opened.
-
-    A turn record without ``row``/``frames`` is all rows of its file (a
-    per-turn sidecar, or a segment's feature file). Such a file is read
-    whole, once, and kept: the first turn that names it gets its array and
-    each later one a copy, so turns never share memory.
-
-    A turn record with ``row`` and ``frames`` is those rows of its
-    ``features_path`` (a pair manifest's shard). The file is opened and
-    its header checked once; no rows of it are kept. Such turns are parsed
-    inside :meth:`record`: each gets its own array, and when the record
-    ends, the rows it names are read into them with one positioned read
-    per run of turns, in turn order, whose rows follow each other in one
-    file (one per record of a shard written by :func:`write_pairs`). So a
-    stream of pairs holds the rows of the pairs it has not dropped, and
-    nothing more.
+    Turns are parsed inside :meth:`record`: each gets its own array, and
+    its rows are read into it with one positioned read per run of turns,
+    in turn order, whose rows follow each other (one per record of a
+    shard written by :func:`write_pairs`). Only the file the last turn
+    named is open; when a turn names another, the rows pending in the
+    open one are read and it is closed. No rows are kept, so a stream of
+    pairs holds the rows of the pairs it has not dropped, and nothing more.
     """
 
     def __init__(self, base_dir: str = ""):
-        super().__init__()
         self.base_dir = base_dir
-        self.files: dict[str, np.ndarray] = {}  # path -> all its rows
-        self.shards: dict[str, tuple] = {}  # path -> (open file, rows, d_in)
-        self.pending: list | None = None  # inside record(): (file, path, row, array) to read at its end
+        self.path: str | None = None  # the file the last turn named
+        self.file: tuple | None = None  # (open file, rows, d_in) of self.path
+        self.pending: list[tuple[int, np.ndarray]] = []  # (first row, array) to read from the open file
+        self.line: int | None = None
 
-    def rows(self, rec: dict, line: int) -> np.ndarray:
-        path = os.path.join(self.base_dir, _get(rec, "features_path", str))
-        if "row" not in rec and "frames" not in rec:
-            return self.take(path)
-        row, frames = _get(rec, "row", int), _get(rec, "frames", int)
-        if row < 0 or frames < 1:
-            raise ValueError(f"'row' must be >= 0 and 'frames' >= 1, not {row} and {frames}")
-        fh, n_rows, d_in = self.shards.get(path) or self._open(path)
-        if row + frames > n_rows:
+    def rows(self, path: str, row: int | None = None, frames: int | None = None) -> np.ndarray:
+        path = os.path.join(self.base_dir, path)
+        if path != self.path:
+            self._read_pending()
+            self.close()
+            self.file, self.path = _open_features(path), path
+        _, n_rows, d_in = self.file
+        if row is None:
+            row, frames = 0, n_rows
+        elif row + frames > n_rows:
             raise FeatureIOError(
-                f"feature file {path}: rows [{row}, {row + frames}) past its {n_rows} rows", line=line
+                f"feature file {path}: rows [{row}, {row + frames}) past its {n_rows} rows", line=self.line
             )
         out = np.empty((frames, d_in), dtype=_FRAME_DTYPE)
-        self.pending.append((fh, path, row, out))
+        self.pending.append((row, out))
         return out
 
-    def _open(self, path: str) -> tuple:
-        try:
-            shard = self.shards[path] = _open_features(path)
-        except OSError as exc:
-            raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}") from exc
-        self.enter_context(shard[0])
-        return shard
+    def _read_pending(self) -> None:
+        runs: list[list] = []  # [first row, end row, arrays]
+        for row, out in self.pending:
+            if runs and runs[-1][1] == row and len(runs[-1][2]) < _MAX_READ_BUFFERS:
+                runs[-1][1] += len(out)
+                runs[-1][2].append(out)
+            else:
+                runs.append([row, row + len(out), [out]])
+        self.pending = []
+        for row, end, arrays in runs:
+            _read_rows(self.file[0], self.path, row, end, arrays, self.line)
 
     @contextmanager
     def record(self, line: int):
-        """Parse the turns of the JSONL record at ``line`` in this block; the
-        rows they name by ``row``/``frames`` are read when it ends."""
-        self.pending = pending = []
-        try:
-            yield
-        finally:
-            self.pending = None
-        runs: list[list] = []  # [file, path, first row, end row, arrays], in turn order
-        for fh, path, row, out in pending:
-            run = runs[-1] if runs else None
-            if run and run[0] is fh and run[3] == row and len(run[4]) < _MAX_READ_BUFFERS:
-                run[3] += len(out)
-                run[4].append(out)
-            else:
-                runs.append([fh, path, row, row + len(out), [out]])
-        for run in runs:
-            _read_rows(*run, line)
+        """Parse the turns of the JSONL record at ``line`` in this block;
+        their rows are read when it ends."""
+        self.line = line
+        yield
+        self._read_pending()
 
-    def take(self, path: str) -> np.ndarray:
-        """All rows of the feature file ``path``, read the first time it is
-        taken; each later take of it gets a copy."""
-        arr = self.files.get(path)
-        if arr is not None:
-            return arr.copy()
-        arr = self.files[path] = read_features(path)
-        return arr
+    def close(self) -> None:
+        """Close the open file; rows still pending are not read."""
+        if self.file:
+            self.file[0].close()
+        self.path, self.file, self.pending = None, None, []
 
 
-def _parse_turn(rec: dict, files: _FeatureFiles, line: int) -> Turn:
+def _parse_turn(rec: dict, files: _FeatureFiles) -> Turn:
+    speaker_id, transcript = _get(rec, "speaker_id", str), _get(rec, "transcript", str)
+    duration_s, path = _get(rec, "duration_s", float), _get(rec, "features_path", str)
+    row = frames = None  # a record with neither names all rows of its file
+    if "row" in rec or "frames" in rec:
+        row, frames = _get(rec, "row", int), _get(rec, "frames", int)
+        if row < 0 or frames < 1:
+            raise ValueError(f"'row' must be >= 0 and 'frames' >= 1, not {row} and {frames}")
     return Turn(
-        speaker_id=_get(rec, "speaker_id", str),
-        transcript=_get(rec, "transcript", str),
-        duration_s=_get(rec, "duration_s", float),
-        features=files.rows(rec, line),
+        speaker_id, transcript, duration_s, files.rows(path, row, frames),
         start_s=_get(rec, "start_s", float) if "start_s" in rec else None,
         end_s=_get(rec, "end_s", float) if "end_s" in rec else None,
     )
 
 
-def _parse_episode(rec: dict, files: _FeatureFiles, line: int, source_tier: str) -> Episode:
+def _parse_episode(rec: dict, files: _FeatureFiles, source_tier: str) -> Episode:
     metadata = _get(rec, "metadata", dict) if "metadata" in rec else {}
     return Episode(
         episode_id=_get(rec, "episode_id", str),
-        turns=[_parse_turn(t, files, line) for t in _get(rec, "turns", list)],
+        turns=[_parse_turn(t, files) for t in _get(rec, "turns", list)],
         source_tier=source_tier,
         metadata={k: _get(metadata, k, str) for k in metadata},
     )
@@ -658,21 +644,22 @@ def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
     :class:`DuplicateIdError` (with the line number) for a pair_id seen on
     an earlier line; and :class:`InvariantError` (with the violation codes)
     for records whose episodes fail validation or whose sides disagree on
-    turn count or tier. A shard's rows are read record by record, with
-    one positioned read per record (see :class:`_FeatureFiles`); every
-    turn holds its own array of its rows, and the reader keeps none, so a
-    dropped pair's rows are freed. Each pair is validated once: the
-    episode rules here, the pair rules by :class:`PreferencePair`.
+    turn count or tier. Rows are read record by record, with one
+    positioned read per record of a shard (see :class:`_FeatureFiles`);
+    every turn holds its own array of its rows, and the reader keeps
+    none, so a dropped pair's rows are freed, in either layout. Each pair
+    is validated once: the episode rules here, the pair rules by
+    :class:`PreferencePair`.
     """
     return _pairs(read_jsonl(path), _FeatureFiles(os.path.dirname(path)))
 
 
 def _pairs(records: Iterator[tuple[int, dict]], files: _FeatureFiles) -> Iterator[PreferencePair]:
-    with files:
+    with closing(files):
         for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(records):
             with _record("pair record", lineno), files.record(lineno):
-                chosen = _parse_episode(rec["chosen"], files, lineno, source_tier)
-                rejected = _parse_episode(rec["rejected"], files, lineno, source_tier)
+                chosen = _parse_episode(rec["chosen"], files, source_tier)
+                rejected = _parse_episode(rec["rejected"], files, source_tier)
             codes = validate_episode(chosen) + validate_episode(rejected)
             try:
                 pair = PreferencePair(pair_id, chosen, rejected, criterion, split)  # validates the pair
@@ -741,10 +728,11 @@ def read_episodes(path: str | Path) -> list[Episode]:
     """
     episodes = []
     seen: set[str] = set()
-    with _FeatureFiles(os.path.dirname(path)) as files:
+    files = _FeatureFiles(os.path.dirname(path))
+    with closing(files):
         for lineno, rec in read_jsonl(path):
             with _record("episode record", lineno), files.record(lineno):
-                ep = _parse_episode(rec, files, lineno, _get(rec, "source_tier", str))
+                ep = _parse_episode(rec, files, _get(rec, "source_tier", str))
             _claim_id(seen, ep.episode_id, "episode_id", lineno)
             episodes.append(ep)
     return episodes

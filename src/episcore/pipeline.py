@@ -30,10 +30,10 @@ from .episodes import (
     Segment,
     SegmentManifest,
     Turn,
-    _FeatureFiles,
+    read_features,
     validate_episode,
 )
-from .errors import EmptyManifestError, MissingMetadataError
+from .errors import EmptyManifestError, FeatureIOError, MissingMetadataError
 
 JUDGE_KEEP_THRESHOLD = 3
 
@@ -100,8 +100,8 @@ def group_segments(
     and speech density at least the overlap-ratio floor. A single segment
     longer than the duration cap cannot be split and is dropped.
 
-    Each feature file is read once per call; a later turn that names the
-    same file gets a copy of its rows, so no two turns share memory.
+    Each kept segment's turn reads its own array of its feature file's
+    rows; an empty file is FEATURE_IO.
     """
     if not manifest.records:
         raise EmptyManifestError("segment manifest has no records")
@@ -132,7 +132,6 @@ def group_segments(
     if cur:
         groups.append((cur, tally))
 
-    files = _FeatureFiles()
     episodes = []
     counter = 0
     for group, tally in groups:
@@ -146,17 +145,15 @@ def group_segments(
         span = kept[-1].end_s - kept[0].start_s
         if span <= 0 or speech / span < cfg.min_overlap_ratio:
             continue
-        turns = [
-            Turn(
-                speaker_id=seg.speaker_id,
-                transcript=seg.transcript,
-                duration_s=seg.duration_s,
-                features=files.take(seg.features_path),
-                start_s=seg.start_s,
-                end_s=seg.end_s,
-            )
-            for seg in kept
-        ]
+        turns = []
+        for seg in kept:
+            features = read_features(seg.features_path)
+            if not features.size:
+                raise FeatureIOError(
+                    f"feature file {seg.features_path} of the segment at start_s {seg.start_s} "
+                    f"is empty: shape {features.shape}"
+                )
+            turns.append(Turn(seg.speaker_id, seg.transcript, seg.duration_s, features, seg.start_s, seg.end_s))
         episodes.append(Episode(f"grp-{counter:04d}", turns, source_tier))
         counter += 1
     return episodes

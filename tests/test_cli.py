@@ -76,6 +76,19 @@ class TestPipelineCommands:
         assert len(read_episodes(tmp_path / "kept.jsonl")) == 1
         assert (tmp_path / "rejects.jsonl").read_text() == ""
 
+    def test_group_of_a_segment_with_no_frames_fails_with_feature_io(self, tmp_path, capsys):
+        full, empty = tmp_path / "full.f32", tmp_path / "empty.f32"
+        write_features(full, np.full((3, 8), 0.5, dtype=np.float32))
+        write_features(empty, np.zeros((0, 8), dtype=np.float32))
+        segments = [Segment("a", 0.0, 10.0, "x", "full.f32"), Segment("b", 12.5, 20.0, "y", "empty.f32")]
+        write_segments(SegmentManifest(segments), tmp_path / "segments.jsonl")
+        out_dir = tmp_path / "out"
+        argv = ["--manifest", tmp_path / "segments.jsonl", "--out", "episodes.jsonl", "--out-dir", out_dir]
+        assert run("pipeline", "group", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[FEATURE_IO]:") and str(empty) in err and "12.5" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["run-manifest.json"]
+
     def test_stratify_command(self, tmp_path):
         pairs = [
             make_pair(f"p{i:03d}", split="val", metadata={"primary_dimension": "x", "secondary_dimension": "laughter"})

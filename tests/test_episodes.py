@@ -333,6 +333,28 @@ def _rewrite_first_turn(path: Path, line: int, **fields) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_sidecar_pairs(pairs: list[PreferencePair], path: Path) -> None:
+    # The layout written before shards: one sidecar per turn, no row or frames.
+    lines = []
+    for pair in pairs:
+        rec = {"pair_id": pair.pair_id, "criterion": pair.criterion.value, "split": pair.split,
+               "source_tier": pair.source_tier}
+        for side in ("chosen", "rejected"):
+            ep = getattr(pair, side)
+            turns = []
+            for i, turn in enumerate(ep.turns):
+                rel = f"{path.stem}_features/{_sidecar_name(f'{pair.pair_id}.{side}', i)}"
+                write_features(path.parent / rel, turn.features)
+                turns.append({"speaker_id": turn.speaker_id, "transcript": turn.transcript,
+                              "duration_s": turn.duration_s, "features_path": rel})
+            rec[side] = {"episode_id": ep.episode_id, "metadata": ep.metadata, "turns": turns}
+        lines.append(json.dumps(rec))
+    path.write_text("\n".join(lines) + "\n")
+
+
+_PAIR_LAYOUTS = {"shard": write_pairs, "sidecars": _write_sidecar_pairs}
+
+
 class TestFeatureShard:
     """A pair manifest keeps every turn's frames in one shard file."""
 
@@ -383,9 +405,10 @@ class TestFeatureShard:
         assert reads == list(zip(starts.tolist(), sizes))
         assert starts[-1] + sizes[-1] == os.path.getsize(shard_path(path))
 
-    def test_a_dropped_pair_leaves_none_of_its_rows_behind(self, tmp_path):
+    @pytest.mark.parametrize("layout", _PAIR_LAYOUTS)
+    def test_a_dropped_pair_leaves_none_of_its_rows_behind(self, tmp_path, layout):
         path = tmp_path / "pairs.jsonl"
-        write_pairs(self._pairs(), path)
+        _PAIR_LAYOUTS[layout](self._pairs(), path)
         stream = iter_pairs(path)
         first, second = next(stream), next(stream)
         feats = [t.features for t in first.chosen.turns + first.rejected.turns]
@@ -394,6 +417,39 @@ class TestFeatureShard:
         gc.collect()
         assert all(ref() is None for ref in refs)
         assert [p.pair_id for p in stream] == ["p2"] and second.pair_id == "p1"
+
+    @pytest.mark.parametrize("read", ["iter_pairs", "read_episodes"])
+    def test_at_most_one_feature_file_is_open_at_a_time(self, tmp_path, monkeypatch, read):
+        import episcore.episodes as episodes
+
+        opened, most_open = [], []
+        open_features = episodes._open_features
+
+        def counting(path):
+            fh, rows, d_in = open_features(path)
+            opened.append(fh)
+            most_open.append(sum(not f.closed for f in opened))
+            return fh, rows, d_in
+
+        monkeypatch.setattr(episodes, "_open_features", counting)
+        path = tmp_path / "manifest.jsonl"
+        if read == "iter_pairs":
+            pairs = self._pairs()
+            _write_sidecar_pairs(pairs, path)
+            back = []
+            for pair in iter_pairs(path):
+                back.append(pair)
+                assert sum(not f.closed for f in opened) == 1
+            assert back == pairs
+        else:
+            episodes_in = [p.chosen for p in self._pairs()]
+            for i, ep in enumerate(episodes_in):
+                ep.episode_id = f"ep-{i}"
+            write_episodes(episodes_in, path)
+            assert read_episodes(path) == episodes_in
+        n_turns = len(os.listdir(tmp_path / "manifest_features"))
+        assert len(opened) == n_turns and max(most_open) == 1
+        assert all(f.closed for f in opened)
 
     def test_turns_hold_disjoint_writable_rows(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
@@ -412,24 +468,9 @@ class TestFeatureShard:
         assert np.array_equal(first, again) and not np.shares_memory(first, again)
 
     def test_per_turn_sidecar_pair_manifest_still_reads(self, tmp_path):
-        # The layout written before shards: one sidecar per turn, no row or frames.
         pairs = self._pairs()
-        lines = []
-        for pair in pairs:
-            rec = {"pair_id": pair.pair_id, "criterion": pair.criterion.value, "split": pair.split,
-                   "source_tier": pair.source_tier}
-            for side in ("chosen", "rejected"):
-                ep = getattr(pair, side)
-                turns = []
-                for i, turn in enumerate(ep.turns):
-                    rel = f"pairs_features/{_sidecar_name(f'{pair.pair_id}.{side}', i)}"
-                    write_features(tmp_path / rel, turn.features)
-                    turns.append({"speaker_id": turn.speaker_id, "transcript": turn.transcript,
-                                  "duration_s": turn.duration_s, "features_path": rel})
-                rec[side] = {"episode_id": ep.episode_id, "metadata": ep.metadata, "turns": turns}
-            lines.append(json.dumps(rec))
         path = tmp_path / "pairs.jsonl"
-        path.write_text("\n".join(lines) + "\n")
+        _write_sidecar_pairs(pairs, path)
         back = read_pairs(path)
         assert back == pairs
         feats = [t.features for p in back for t in p.chosen.turns + p.rejected.turns]
