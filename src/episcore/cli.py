@@ -16,15 +16,14 @@ import dataclasses
 import json
 import os
 import sys
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, config as configio, evaluation, gradcheck, pipeline, scorer, training
 from .episodes import (
-    PreferencePair, _record, iter_pairs, read_episodes, read_pair_tiers, read_pairs, read_segments, write_episodes,
-    write_jsonl, write_pairs,
+    _record, iter_pairs, read_episodes, read_pair_tiers, read_pairs, read_segments, write_episodes, write_jsonl,
+    write_pairs,
 )
 from .errors import EmptySetError, EpiscoreError, ManifestParseError
 
@@ -57,20 +56,6 @@ def _write_run_manifest(args: argparse.Namespace, out_dir: Path) -> None:
     _write_json(out_dir / "run-manifest.json", record)
 
 
-def _write_training(out_dir: Path, scorer_cfg: scorer.ScorerConfig, result: training.TrainResult) -> Path:
-    write_jsonl((vars(report) for report in result.history), out_dir / "history.jsonl")
-    best_path = out_dir / "best.ckpt"
-    scorer.save_checkpoint(best_path, scorer_cfg, result.best_params)
-    return best_path
-
-
-def _write_report(out_dir: Path, scored: list[evaluation.ScoredPair]) -> evaluation.EvalReport:
-    report = evaluation.build_report(scored)
-    _write_json(out_dir / "report.json", dataclasses.asdict(report))
-    (out_dir / "report.csv").write_text(evaluation.report_csv(report), encoding="utf-8")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -78,11 +63,14 @@ def _write_report(out_dir: Path, scored: list[evaluation.ScoredPair]) -> evaluat
 
 def cmd_synth(args) -> int:
     (cfg,) = configio.load(args.config, pipeline.SynthConfig, seed=args.seed)
-    pairs = pipeline.synth_pairs(cfg, args.n, split=args.split)
-    out = _resolve(args.out_dir, args.out)
+    _synth(cfg, args.n, args.split, _resolve(args.out_dir, args.out))
+    return 0
+
+
+def _synth(cfg: pipeline.SynthConfig, n: int, split: str, out: Path) -> None:
+    pairs = pipeline.synth_pairs(cfg, n, split=split)
     write_pairs(pairs, out)
     print(f"wrote {len(pairs)} pairs to {out}")
-    return 0
 
 
 def cmd_pipeline_group(args) -> int:
@@ -122,21 +110,34 @@ def cmd_pipeline_stratify(args) -> int:
 
 def cmd_train(args) -> int:
     scorer_cfg, train_cfg = configio.load(args.config, scorer.ScorerConfig, training.TrainConfig, seed=args.seed)
-    pairs = iter_pairs(args.pairs)
-    val_pairs = iter_pairs(args.val) if args.val else ()
-    out_dir = Path(args.out_dir)
+    _train(args.pairs, args.val, Path(args.out_dir), scorer_cfg, train_cfg)
+    return 0
+
+
+def _train(pairs_path, val_path, out_dir: Path, scorer_cfg, train_cfg) -> training.TrainResult:
+    pairs = iter_pairs(pairs_path)
+    val_pairs = iter_pairs(val_path) if val_path else ()
     result = training.train(pairs, val_pairs, scorer_cfg, train_cfg, checkpoint_dir=out_dir / "checkpoints")
-    best_path = _write_training(out_dir, scorer_cfg, result)
+    write_jsonl((vars(report) for report in result.history), out_dir / "history.jsonl")
+    best_path = out_dir / "best.ckpt"
+    scorer.save_checkpoint(best_path, scorer_cfg, result.best_params)
     print(
         f"trained {train_cfg.total_steps} steps; best val loss {result.best_val_loss:.6f} "
         f"at step {result.best_step}; checkpoint at {best_path}"
     )
+    return result
+
+
+def cmd_score(args) -> int:
+    _score_manifest(args.pairs, args.checkpoint, _resolve(args.out_dir, args.out))
     return 0
 
 
-def _score(pairs: Iterable[PreferencePair], cfg: scorer.ScorerConfig, params) -> list[evaluation.ScoredPair]:
-    """Score ``pairs`` one :func:`training.pair_chunks` page at a time,
-    keeping only each pair's header."""
+def _score_manifest(pairs_path, checkpoint, out: Path) -> None:
+    """Score the pairs of a manifest one :func:`training.pair_chunks` page
+    at a time, keeping only each pair's header."""
+    pairs = iter_pairs(pairs_path)  # opens the manifest: a missing one fails before the checkpoint is read
+    cfg, params = scorer.load_checkpoint(checkpoint)
     heads = []
 
     def noted(pairs):
@@ -145,32 +146,30 @@ def _score(pairs: Iterable[PreferencePair], cfg: scorer.ScorerConfig, params) ->
             yield p
 
     r_chosen, r_rejected = training.score_pairs(training.pair_chunks(noted(pairs), cfg), cfg, params)
-    return [
+    scored = [
         evaluation.ScoredPair(pair_id, float(c), float(r), tier, criterion)
         for (pair_id, tier, criterion), c, r in zip(heads, r_chosen, r_rejected)
     ]
-
-
-def cmd_score(args) -> int:
-    pairs = iter_pairs(args.pairs)  # opens the manifest: a missing one fails before the checkpoint is read
-    cfg, params = scorer.load_checkpoint(args.checkpoint)
-    scored = _score(pairs, cfg, params)
-    out = _resolve(args.out_dir, args.out)
     evaluation.write_scores(scored, out)
     print(f"scored {len(scored)} pairs to {out}")
-    return 0
 
 
 def cmd_eval(args) -> int:
-    scored = evaluation.read_scores(args.scores)
+    _eval(args.scores, args.pairs, Path(args.out_dir))
+    return 0
+
+
+def _eval(scores_path, pairs_path, out_dir: Path) -> list[evaluation.ScoredPair]:
+    """Write the reports of a score file and return its scored pairs."""
+    scored = evaluation.read_scores(scores_path)
     if not scored:
-        raise EmptySetError(f"score file {args.scores} is empty")
-    if args.pairs:
-        tiers = read_pair_tiers(args.pairs)
+        raise EmptySetError(f"score file {scores_path} is empty")
+    if pairs_path:
+        tiers = read_pair_tiers(pairs_path)
         for s in scored:
             tier = tiers.get(s.pair_id)
             if tier is None:
-                raise ManifestParseError(f"scored pair {s.pair_id} not present in {args.pairs}")
+                raise ManifestParseError(f"scored pair {s.pair_id} not present in {pairs_path}")
             if tier != s.subset:
                 raise ManifestParseError(
                     f"pair {s.pair_id}: subset {s.subset!r} does not match manifest tier {tier!r}"
@@ -179,16 +178,17 @@ def cmd_eval(args) -> int:
             scored_ids = {s.pair_id for s in scored}
             missing = next(pair_id for pair_id in tiers if pair_id not in scored_ids)
             raise ManifestParseError(
-                f"{args.scores} scores {len(scored)} of the {len(tiers)} pairs in {args.pairs}; "
+                f"{scores_path} scores {len(scored)} of the {len(tiers)} pairs in {pairs_path}; "
                 f"first unscored pair: {missing}"
             )
-    out_dir = Path(args.out_dir)
-    report = _write_report(out_dir, scored)
+    report = evaluation.build_report(scored)
+    _write_json(out_dir / "report.json", dataclasses.asdict(report))
+    (out_dir / "report.csv").write_text(evaluation.report_csv(report), encoding="utf-8")
     print(
         f"evaluated {len(scored)} pairs: overall micro "
         f"{evaluation.format_percent(report.overall_micro)}%, reports in {out_dir}"
     )
-    return 0
+    return scored
 
 
 def cmd_agreement(args) -> int:
@@ -239,34 +239,24 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_e2e(args) -> int:
+    """The bodies of ``synth`` (train split at the seed, val split at the
+    seed + 1), ``train``, ``score`` and ``eval --pairs``, run on the files
+    each one wrote; ``summary.json`` is the only file of its own."""
     out_dir = Path(args.out_dir)
     # Every config is built and checked before the first write.
     synth_cfg, scorer_cfg, train_cfg = configio.load(
-        None,
-        pipeline.SynthConfig,
-        scorer.ScorerConfig,
-        training.TrainConfig,
-        d_in=args.d_in,
-        noise_std=args.noise_std,
-        pooling=args.pooling,
-        total_steps=args.steps,
-        lambda_center=args.lambda_center,
+        None, pipeline.SynthConfig, scorer.ScorerConfig, training.TrainConfig, d_in=args.d_in,
+        noise_std=args.noise_std, pooling=args.pooling, total_steps=args.steps, lambda_center=args.lambda_center,
         seed=args.seed,
     )
-    train_pairs = pipeline.synth_pairs(synth_cfg, args.n_train, split="train")
-    val_cfg = dataclasses.replace(synth_cfg, seed=synth_cfg.seed + 1)
-    val_pairs = pipeline.synth_pairs(val_cfg, args.n_val, split="val")
-    write_pairs(train_pairs, out_dir / "train.jsonl")
-    write_pairs(val_pairs, out_dir / "val.jsonl")
+    train, val = out_dir / "train.jsonl", out_dir / "val.jsonl"
+    _synth(synth_cfg, args.n_train, "train", train)
+    _synth(dataclasses.replace(synth_cfg, seed=synth_cfg.seed + 1), args.n_val, "val", val)
+    result = _train(train, val, out_dir, scorer_cfg, train_cfg)
+    _score_manifest(val, out_dir / "best.ckpt", out_dir / "val-scores.jsonl")
+    scored = _eval(out_dir / "val-scores.jsonl", val, out_dir)
 
-    result = training.train(train_pairs, val_pairs, scorer_cfg, train_cfg, checkpoint_dir=out_dir / "checkpoints")
-    _write_training(out_dir, scorer_cfg, result)
-
-    scored = _score(val_pairs, scorer_cfg, result.best_params)
     rc, rr = np.array([(s.r_chosen, s.r_rejected) for s in scored]).T
-    evaluation.write_scores(scored, out_dir / "val-scores.jsonl")
-    _write_report(out_dir, scored)
-
     summary = {
         "seed": args.seed,
         "lambda_center": args.lambda_center,

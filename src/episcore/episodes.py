@@ -305,18 +305,28 @@ def read_features(path: str | Path) -> np.ndarray:
     return out
 
 
-def _read_rows(fh, path: str | Path, row: int, end: int, buffers: list[np.ndarray], line: int | None = None) -> None:
+def _read_rows(fh, path: str | Path, row: int, end: int, buffers: list, line: int | None = None) -> None:
     """Fill ``buffers`` with rows ``[row, end)`` of the open feature file
     ``fh``, in order, with one positioned read (``os.preadv``, so POSIX
-    only). Rows leave a feature file only here."""
+    only); a read that stops short (Linux moves at most about 2 GiB a call)
+    is continued from the byte where it stopped, and one that returns no
+    bytes before the end is FEATURE_IO. Rows leave a feature file only here."""
     row_bytes = buffers[0].shape[1] * 4
-    offset, want = _SIDECAR_HEADER.size + row * row_bytes, (end - row) * row_bytes
-    try:
-        got = os.preadv(fh.fileno(), buffers, offset)
-    except OSError as exc:
-        raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}", line=line) from exc
-    if got != want:
-        raise FeatureIOError(f"feature sidecar {path}: read {got} of {want} bytes at row {row}", line=line)
+    offset, want, got = _SIDECAR_HEADER.size + row * row_bytes, (end - row) * row_bytes, 0
+    while True:
+        try:
+            n = os.preadv(fh.fileno(), buffers, offset + got)
+        except OSError as exc:
+            raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}", line=line) from exc
+        got += n
+        if got == want:
+            return
+        if n == 0:
+            raise FeatureIOError(f"feature sidecar {path}: read {got} of {want} bytes at row {row}", line=line)
+        buffers = [memoryview(b).cast("B") for b in buffers]  # as bytes, less the n just read:
+        while n >= len(buffers[0]):
+            n -= len(buffers.pop(0))
+        buffers[0] = buffers[0][n:]
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +495,8 @@ class _FeatureFiles:
             self.file, self.path = _open_features(path), path
         _, n_rows, d_in = self.file
         if row is None:
+            if n_rows == 0:
+                raise FeatureIOError(f"feature file {path} has no rows; a turn needs at least one", line=self.line)
             row, frames = 0, n_rows
         elif row + frames > n_rows:
             raise FeatureIOError(

@@ -25,10 +25,12 @@ the rejected sides), and every such batch is a gather from a
 :func:`train` reads its train and val pairs once each into two tables,
 from any iterable (``episcore train`` passes manifest streams, so the
 pairs are never held as objects); each step is a :func:`pair_batch`
-gather for :func:`total_loss`. Forward-only scoring (:func:`score_pairs`,
-:func:`evaluate_loss`) takes chunks of ``SCORE_CHUNK`` consecutive pairs:
-:func:`pair_chunks` pages any iterable of pairs into them, one table per
-page, and :func:`table_chunks` gathers the same chunks from a whole table.
+gather for :func:`total_loss` (a whole pair set as one batch is the
+:func:`pair_batch` of all its pairs). Forward-only scoring
+(:func:`score_pairs`, :func:`evaluate_loss`) takes chunks of
+``SCORE_CHUNK`` consecutive pairs, all made by :func:`table_chunks`:
+train validation chunks its val table, and :func:`pair_chunks` pages
+any iterable of pairs through it, one table per page.
 
 Determinism: the same params and the same batch composition give a
 bitwise-identical :class:`BatchLoss`, so a training run is bitwise
@@ -146,34 +148,29 @@ def pair_batch(table: RowTable, index) -> EpisodeBatch:
     return table.batch(np.concatenate([chosen, chosen + 1]))
 
 
-def pack_pairs(pairs: Iterable[PreferencePair], cfg: ScorerConfig) -> EpisodeBatch:
-    """All of ``pairs`` as one :func:`pair_batch`."""
-    table = pair_table(pairs, cfg)
-    return pair_batch(table, np.arange(len(table) // 2))
-
-
 # Pairs per forward pass when scoring a whole pair set; bounds the memory
 # of the pass.
 SCORE_CHUNK = 32
 
 
-def pair_chunks(pairs: Iterable[PreferencePair], cfg: ScorerConfig) -> Iterator[EpisodeBatch]:
-    """:func:`pack_pairs` batches of ``SCORE_CHUNK`` consecutive pairs, in
-    order (the last one may be shorter). ``pairs`` is read one page of
-    ``SCORE_CHUNK`` pairs at a time, as the batches are consumed, so a
-    stream is never held whole. This chunk composition fixes the bits of
-    every forward-only score, so ``episcore score`` and train validation
-    (:func:`table_chunks`) agree bitwise."""
-    pairs = iter(pairs)
-    while page := list(islice(pairs, SCORE_CHUNK)):
-        yield pack_pairs(page, cfg)
-
-
 def table_chunks(table: RowTable) -> Iterator[EpisodeBatch]:
-    """The batches of :func:`pair_chunks`, gathered from a :func:`pair_table`."""
+    """The :func:`pair_batch` batches of ``SCORE_CHUNK`` consecutive pairs
+    of a :func:`pair_table`, in order (the last one may be shorter). This
+    chunk composition fixes the bits of every forward-only score."""
     n = len(table) // 2
     for lo in range(0, n, SCORE_CHUNK):
         yield pair_batch(table, np.arange(lo, min(lo + SCORE_CHUNK, n)))
+
+
+def pair_chunks(pairs: Iterable[PreferencePair], cfg: ScorerConfig) -> Iterator[EpisodeBatch]:
+    """The :func:`table_chunks` of ``pairs``, paged: each page of
+    ``SCORE_CHUNK`` pairs is read into its own :func:`pair_table` as the
+    batches are consumed, so a stream is never held whole. A page is one
+    chunk, so ``episcore score`` and train validation (the chunks of one
+    whole table) agree bitwise."""
+    pairs = iter(pairs)
+    while len(table := pair_table(islice(pairs, SCORE_CHUNK), cfg)):
+        yield from table_chunks(table)
 
 
 def score_pairs(

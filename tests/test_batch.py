@@ -11,7 +11,7 @@ from episcore import (
 )
 from episcore.gradcheck import relative_error
 from episcore.training import (
-    SCORE_CHUNK, evaluate_loss, pack_pairs, pair_batch, pair_chunks, pair_table, score_pairs, table_chunks
+    SCORE_CHUNK, evaluate_loss, pair_batch, pair_chunks, pair_table, score_pairs, table_chunks
 )
 
 VOCAB = ["yeah", "so", "okay", "right", "well", "um"]
@@ -142,7 +142,7 @@ def test_table_batch_gathers_the_same_rows_as_packing_those_pairs():
     pairs = synth_pairs(synth_config(seed=3), 5)
     cfg = ScorerConfig(d_in=8, max_frames_per_turn=5)
     taken = pair_batch(pair_table(pairs, cfg), [3, 0, 3])
-    packed = pack_pairs([pairs[3], pairs[0], pairs[3]], cfg)
+    packed = pair_batch(pair_table([pairs[3], pairs[0], pairs[3]], cfg), range(3))
     for field in ("x", "starts", "lengths", "criteria"):
         assert np.array_equal(getattr(taken, field), getattr(packed, field)), field
 
@@ -192,7 +192,7 @@ def test_same_batch_composition_gives_bitwise_identical_loss(mode):
     cfg = ScorerConfig(d_in=8, pooling=mode)
     params = init_params(cfg, seed=2)
     pairs = synth_pairs(synth_config(seed=4), 9)
-    a = total_loss(pack_pairs(pairs[2:7], cfg), cfg, params)
+    a = total_loss(pair_batch(pair_table(pairs[2:7], cfg), range(5)), cfg, params)
     b = total_loss(pair_batch(pair_table(pairs, cfg), range(2, 7)), cfg, params)
     assert (a.value, a.loss_pref, a.loss_center) == (b.value, b.loss_pref, b.loss_center)
     assert np.array_equal(a.r_chosen, b.r_chosen) and np.array_equal(a.r_rejected, b.r_rejected)
@@ -206,7 +206,8 @@ def test_validation_loss_of_one_chunk_is_the_trained_loss_bitwise(n_pairs):
     params = init_params(cfg, seed=3)
     pairs = synth_pairs(synth_config(seed=6), n_pairs)
     val_loss, _ = evaluate_loss(pair_chunks(pairs, cfg), cfg, params, 0.1)
-    assert val_loss == total_loss(pack_pairs(pairs, cfg), cfg, params, lambda_center=0.1).value
+    batch = pair_batch(pair_table(pairs, cfg), range(n_pairs))
+    assert val_loss == total_loss(batch, cfg, params, lambda_center=0.1).value
 
 
 def test_scoring_a_list_and_its_pack_agree_bitwise():

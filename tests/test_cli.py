@@ -89,6 +89,18 @@ class TestPipelineCommands:
         assert err.startswith("error[FEATURE_IO]:") and str(empty) in err and "12.5" in err
         assert sorted(p.name for p in out_dir.iterdir()) == ["run-manifest.json"]
 
+    def test_filter_of_a_turn_file_with_no_rows_fails_with_feature_io(self, tmp_path, capsys):
+        manifest = tmp_path / "episodes.jsonl"
+        write_episodes([make_episode(episode_id="e0"), make_episode(episode_id="e1")], manifest)
+        empty = tmp_path / json.loads(manifest.read_text().splitlines()[1])["turns"][0]["features_path"]
+        write_features(empty, np.zeros((0, 4), dtype=np.float32))
+        out_dir = tmp_path / "out"
+        argv = ["--in", manifest, "--out", "kept.jsonl", "--rejects", "rejects.jsonl", "--out-dir", out_dir]
+        assert run("pipeline", "filter", *argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error[FEATURE_IO]: line 2: feature file {empty} has no rows; a turn needs at least one\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["run-manifest.json"]
+
     def test_stratify_command(self, tmp_path):
         pairs = [
             make_pair(f"p{i:03d}", split="val", metadata={"primary_dimension": "x", "secondary_dimension": "laughter"})
@@ -487,6 +499,32 @@ class TestEndToEnd:
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "val-scores.jsonl").exists()
+
+    def test_equals_the_commands_it_composes(self, tmp_path):
+        # e2e is synth x2 -> train -> score -> eval --pairs: every file both
+        # trees hold is byte-identical, apart from the run manifests.
+        e2e, steps = tmp_path / "e2e", tmp_path / "steps"
+        assert run("e2e", "--n-train", 120, "--n-val", 70, "--steps", 60, "--pooling", "attention", "--seed", 1,
+                   "--out-dir", e2e) == 0
+        assert run("synth", "--n", 120, "--out", "train.jsonl", "--seed", 1, "--out-dir", steps) == 0
+        assert run("synth", "--n", 70, "--out", "val.jsonl", "--split", "val", "--seed", 2, "--out-dir", steps) == 0
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("pooling = attention\ntotal_steps = 60\n")
+        assert run("train", "--pairs", steps / "train.jsonl", "--val", steps / "val.jsonl", "--config", cfg,
+                   "--seed", 1, "--out-dir", steps) == 0
+        assert run("score", "--pairs", steps / "val.jsonl", "--checkpoint", steps / "best.ckpt",
+                   "--out", "val-scores.jsonl", "--out-dir", steps) == 0
+        assert run("eval", "--scores", steps / "val-scores.jsonl", "--pairs", steps / "val.jsonl",
+                   "--out-dir", steps) == 0
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        got, want = tree(e2e), tree(steps)
+        assert set(got) - set(want) == {"summary.json"} and set(want) <= set(got)
+        for name in set(want) - {"run-manifest.json"}:
+            assert got[name] == want[name], name
+        assert {"best.ckpt", "history.jsonl", "report.json", "val-scores.jsonl", "val.jsonl.f32"} <= set(want)
 
     def test_seed_changes_summary(self, tmp_path):
         for seed in (0, 1):

@@ -406,6 +406,41 @@ class TestFeatureShard:
         assert starts[-1] + sizes[-1] == os.path.getsize(shard_path(path))
 
     @pytest.mark.parametrize("layout", _PAIR_LAYOUTS)
+    def test_short_reads_continue_where_they_stopped(self, tmp_path, monkeypatch, layout):
+        # A positioned read may move fewer bytes than asked (Linux moves at most about 2 GiB a call).
+        path = tmp_path / "pairs.jsonl"
+        pairs = self._pairs()
+        _PAIR_LAYOUTS[layout](pairs, path)
+        preadv, calls = os.preadv, []
+
+        def trickle(fd, bufs, at):  # 5 bytes a call at most: not a multiple of the 16-byte row
+            calls.append(at)
+            return preadv(fd, [memoryview(bufs[0]).cast("B")[:5]], at)
+
+        monkeypatch.setattr(os, "preadv", trickle)
+        assert read_pairs(path) == pairs
+        turns = [t for p in pairs for t in p.chosen.turns + p.rejected.turns]
+        assert len(calls) >= sum(t.features.nbytes for t in turns) / 5
+        if layout == "shard":
+            assert np.array_equal(read_features(shard_path(path)), np.concatenate([t.features for t in turns]))
+
+    @pytest.mark.parametrize("first", [0, 5], ids=["nothing", "five-bytes"])
+    def test_a_read_that_stops_before_the_end_is_feature_io(self, tmp_path, monkeypatch, first):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(self._pairs(), path)
+        preadv, calls = os.preadv, []
+
+        def stop(fd, bufs, at):  # ``first`` bytes, then end of file
+            calls.append(at)
+            return preadv(fd, [memoryview(bufs[0]).cast("B")[:first]], at) if len(calls) == 1 else 0
+
+        monkeypatch.setattr(os, "preadv", stop)
+        want = 2 * 2 * 3 * 4 * D_IN  # p0: two sides of two turns of three frames
+        with pytest.raises(FeatureIOError, match=rf"^line 1: feature sidecar .*pairs.jsonl.f32: read {first} of "
+                                                 rf"{want} bytes at row 0$"):
+            read_pairs(path)
+
+    @pytest.mark.parametrize("layout", _PAIR_LAYOUTS)
     def test_a_dropped_pair_leaves_none_of_its_rows_behind(self, tmp_path, layout):
         path = tmp_path / "pairs.jsonl"
         _PAIR_LAYOUTS[layout](self._pairs(), path)
