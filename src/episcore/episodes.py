@@ -8,11 +8,11 @@ frames in one shard, ``<manifest file name>.f32``, and each turn record
 names its ``row`` and ``frames`` there. An episode manifest keeps one
 sidecar file per turn, and a turn record without ``row``/``frames`` is all
 rows of its file. So every turn is a row range of a feature file, and
-every layout loads through one reader: each turn's rows are read into an
-array that only it holds, nothing is kept, and one feature file is open
-at a time. :func:`iter_pairs` streams a pair manifest one validated pair
-at a time, so a consumer that drops pairs holds only the rows of those it
-keeps.
+every layout loads through one reader: each turn's rows are read, with
+one buffered read, into an array that only it holds, nothing is kept, and
+one feature file is open at a time. :func:`iter_pairs` streams a pair
+manifest one validated pair at a time, so a consumer that drops pairs
+holds only the rows of those it keeps.
 Every JSONL file is written through :func:`write_jsonl`, which replaces
 the old file atomically.
 
@@ -91,7 +91,7 @@ class Turn:
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float32)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise ValueError(f"features must be (F, d_in) with F >= 1, got shape {feats.shape}")
+            raise ValueError(f"features must be (F, d_in) with F >= 1 and d_in >= 1, got shape {feats.shape}")
         self.features = feats
         if self.duration_s < 0:
             raise ValueError(f"duration_s must be non-negative, got {self.duration_s}")
@@ -253,9 +253,7 @@ def validate_pair(chosen: Episode, rejected: Episode) -> list[str]:
 # ---------------------------------------------------------------------------
 
 _SIDECAR_HEADER = struct.Struct("<QQ")
-_FRAME_DTYPE = np.dtype("<f4")  # the byte order of feature files, which preadv copies as is
-# Arrays per positioned read at most: IOV_MAX on Linux, macOS and the BSDs.
-_MAX_READ_BUFFERS = 1024
+_FRAME_DTYPE = np.dtype("<f4")  # the byte order of feature files, which readinto copies as is
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
@@ -299,34 +297,25 @@ def read_features(path: str | Path) -> np.ndarray:
     with one :func:`_read_rows`. A missing, truncated or over-long file is
     FEATURE_IO."""
     fh, n_frames, d_in = _open_features(path)
-    out = np.empty((n_frames, d_in), dtype=_FRAME_DTYPE)
     with fh:
-        _read_rows(fh, path, 0, n_frames, [out])
+        return _read_rows(fh, path, 0, n_frames, d_in)
+
+
+def _read_rows(fh, path: str | Path, row: int, frames: int, d_in: int, line: int | None = None) -> np.ndarray:
+    """Rows ``[row, row + frames)`` of the feature file ``fh`` (opened by
+    :func:`_open_features`) as a new writable ``(frames, d_in)`` float32
+    array, read with one seek and one ``readinto`` of the buffered file,
+    which reads on until the rows are in or the file ends. A read that
+    comes back short is FEATURE_IO. Rows leave a feature file only here."""
+    out = np.empty((frames, d_in), dtype=_FRAME_DTYPE)
+    try:
+        fh.seek(_SIDECAR_HEADER.size + row * d_in * 4)
+        got = fh.readinto(out)
+    except OSError as exc:
+        raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}", line=line) from exc
+    if got != out.nbytes:
+        raise FeatureIOError(f"feature sidecar {path}: read {got} of {out.nbytes} bytes at row {row}", line=line)
     return out
-
-
-def _read_rows(fh, path: str | Path, row: int, end: int, buffers: list, line: int | None = None) -> None:
-    """Fill ``buffers`` with rows ``[row, end)`` of the open feature file
-    ``fh``, in order, with one positioned read (``os.preadv``, so POSIX
-    only); a read that stops short (Linux moves at most about 2 GiB a call)
-    is continued from the byte where it stopped, and one that returns no
-    bytes before the end is FEATURE_IO. Rows leave a feature file only here."""
-    row_bytes = buffers[0].shape[1] * 4
-    offset, want, got = _SIDECAR_HEADER.size + row * row_bytes, (end - row) * row_bytes, 0
-    while True:
-        try:
-            n = os.preadv(fh.fileno(), buffers, offset + got)
-        except OSError as exc:
-            raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}", line=line) from exc
-        got += n
-        if got == want:
-            return
-        if n == 0:
-            raise FeatureIOError(f"feature sidecar {path}: read {got} of {want} bytes at row {row}", line=line)
-        buffers = [memoryview(b).cast("B") for b in buffers]  # as bytes, less the n just read:
-        while n >= len(buffers[0]):
-            n -= len(buffers.pop(0))
-        buffers[0] = buffers[0][n:]
 
 
 # ---------------------------------------------------------------------------
@@ -471,29 +460,27 @@ class _FeatureFiles:
     manifest's shard), or all rows of the file when the record has
     neither (a per-turn sidecar).
 
-    Turns are parsed inside :meth:`record`: each gets its own array, and
-    its rows are read into it with one positioned read per run of turns,
-    in turn order, whose rows follow each other (one per record of a
-    shard written by :func:`write_pairs`). Only the file the last turn
-    named is open; when a turn names another, the rows pending in the
-    open one are read and it is closed. No rows are kept, so a stream of
-    pairs holds the rows of the pairs it has not dropped, and nothing more.
+    Each turn's rows are read, as the turn is parsed, into an array of
+    its own by one :func:`_read_rows`. Only the file the last turn named
+    is open; it is closed when a turn names another. No rows are kept, so
+    a stream of pairs holds the rows of the pairs it has not dropped, and
+    nothing more. Errors name ``line``, the manifest line being parsed.
     """
 
     def __init__(self, base_dir: str = ""):
         self.base_dir = base_dir
         self.path: str | None = None  # the file the last turn named
         self.file: tuple | None = None  # (open file, rows, d_in) of self.path
-        self.pending: list[tuple[int, np.ndarray]] = []  # (first row, array) to read from the open file
         self.line: int | None = None
 
     def rows(self, path: str, row: int | None = None, frames: int | None = None) -> np.ndarray:
         path = os.path.join(self.base_dir, path)
         if path != self.path:
-            self._read_pending()
             self.close()
             self.file, self.path = _open_features(path), path
-        _, n_rows, d_in = self.file
+        fh, n_rows, d_in = self.file
+        if d_in == 0:
+            raise FeatureIOError(f"feature file {path} has d_in 0; a turn needs d_in >= 1", line=self.line)
         if row is None:
             if n_rows == 0:
                 raise FeatureIOError(f"feature file {path} has no rows; a turn needs at least one", line=self.line)
@@ -502,35 +489,13 @@ class _FeatureFiles:
             raise FeatureIOError(
                 f"feature file {path}: rows [{row}, {row + frames}) past its {n_rows} rows", line=self.line
             )
-        out = np.empty((frames, d_in), dtype=_FRAME_DTYPE)
-        self.pending.append((row, out))
-        return out
-
-    def _read_pending(self) -> None:
-        runs: list[list] = []  # [first row, end row, arrays]
-        for row, out in self.pending:
-            if runs and runs[-1][1] == row and len(runs[-1][2]) < _MAX_READ_BUFFERS:
-                runs[-1][1] += len(out)
-                runs[-1][2].append(out)
-            else:
-                runs.append([row, row + len(out), [out]])
-        self.pending = []
-        for row, end, arrays in runs:
-            _read_rows(self.file[0], self.path, row, end, arrays, self.line)
-
-    @contextmanager
-    def record(self, line: int):
-        """Parse the turns of the JSONL record at ``line`` in this block;
-        their rows are read when it ends."""
-        self.line = line
-        yield
-        self._read_pending()
+        return _read_rows(fh, path, row, frames, d_in, self.line)
 
     def close(self) -> None:
-        """Close the open file; rows still pending are not read."""
+        """Close the open file."""
         if self.file:
             self.file[0].close()
-        self.path, self.file, self.pending = None, None, []
+        self.path, self.file = None, None
 
 
 def _parse_turn(rec: dict, files: _FeatureFiles) -> Turn:
@@ -656,12 +621,11 @@ def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
     :class:`DuplicateIdError` (with the line number) for a pair_id seen on
     an earlier line; and :class:`InvariantError` (with the violation codes)
     for records whose episodes fail validation or whose sides disagree on
-    turn count or tier. Rows are read record by record, with one
-    positioned read per record of a shard (see :class:`_FeatureFiles`);
-    every turn holds its own array of its rows, and the reader keeps
-    none, so a dropped pair's rows are freed, in either layout. Each pair
-    is validated once: the episode rules here, the pair rules by
-    :class:`PreferencePair`.
+    turn count or tier. Each turn's rows are read as it is parsed, with
+    one buffered read (see :class:`_FeatureFiles`); every turn holds its
+    own array of its rows, and the reader keeps none, so a dropped pair's
+    rows are freed, in either layout. Each pair is validated once: the
+    episode rules here, the pair rules by :class:`PreferencePair`.
     """
     return _pairs(read_jsonl(path), _FeatureFiles(os.path.dirname(path)))
 
@@ -669,7 +633,8 @@ def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
 def _pairs(records: Iterator[tuple[int, dict]], files: _FeatureFiles) -> Iterator[PreferencePair]:
     with closing(files):
         for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(records):
-            with _record("pair record", lineno), files.record(lineno):
+            files.line = lineno
+            with _record("pair record", lineno):
                 chosen = _parse_episode(rec["chosen"], files, source_tier)
                 rejected = _parse_episode(rec["rejected"], files, source_tier)
             codes = validate_episode(chosen) + validate_episode(rejected)
@@ -743,7 +708,8 @@ def read_episodes(path: str | Path) -> list[Episode]:
     files = _FeatureFiles(os.path.dirname(path))
     with closing(files):
         for lineno, rec in read_jsonl(path):
-            with _record("episode record", lineno), files.record(lineno):
+            files.line = lineno
+            with _record("episode record", lineno):
                 ep = _parse_episode(rec, files, _get(rec, "source_tier", str))
             _claim_id(seen, ep.episode_id, "episode_id", lineno)
             episodes.append(ep)

@@ -101,6 +101,18 @@ class TestPipelineCommands:
         assert err == f"error[FEATURE_IO]: line 2: feature file {empty} has no rows; a turn needs at least one\n"
         assert sorted(p.name for p in out_dir.iterdir()) == ["run-manifest.json"]
 
+    def test_filter_of_a_turn_file_of_d_in_0_fails_with_feature_io(self, tmp_path, capsys):
+        manifest = tmp_path / "episodes.jsonl"
+        write_episodes([make_episode(episode_id="e0"), make_episode(episode_id="e1")], manifest)
+        flat = tmp_path / json.loads(manifest.read_text().splitlines()[0])["turns"][1]["features_path"]
+        write_features(flat, np.zeros((3, 0), dtype=np.float32))
+        out_dir = tmp_path / "out"
+        argv = ["--in", manifest, "--out", "kept.jsonl", "--rejects", "rejects.jsonl", "--out-dir", out_dir]
+        assert run("pipeline", "filter", *argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error[FEATURE_IO]: line 1: feature file {flat} has d_in 0; a turn needs d_in >= 1\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["run-manifest.json"]
+
     def test_stratify_command(self, tmp_path):
         pairs = [
             make_pair(f"p{i:03d}", split="val", metadata={"primary_dimension": "x", "secondary_dimension": "laughter"})

@@ -1,5 +1,6 @@
 import functools
 import gc
+import io
 import json
 import operator
 import os
@@ -108,8 +109,9 @@ class TestValidateEpisode:
 
 class TestTurnConstruction:
     def test_empty_feature_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            Turn("spk-a", "hi", 1.0, np.zeros((0, 4), dtype=np.float32))
+        for shape in [(0, 4), (3, 0)]:
+            with pytest.raises(ValueError, match=r"with F >= 1 and d_in >= 1, got shape \(%d, %d\)$" % shape):
+                Turn("spk-a", "hi", 1.0, np.zeros(shape, dtype=np.float32))
 
     def test_one_dim_features_rejected(self):
         with pytest.raises(ValueError):
@@ -355,6 +357,16 @@ def _write_sidecar_pairs(pairs: list[PreferencePair], path: Path) -> None:
 _PAIR_LAYOUTS = {"shard": write_pairs, "sidecars": _write_sidecar_pairs}
 
 
+class _TrickleFile(io.FileIO):
+    """A raw file that moves at most 5 bytes a read: not a multiple of the 16-byte row."""
+
+    reads = 0
+
+    def readinto(self, b):
+        self.reads += 1
+        return super().readinto(memoryview(b).cast("B")[:5])
+
+
 class TestFeatureShard:
     """A pair manifest keeps every turn's frames in one shard file."""
 
@@ -388,57 +400,85 @@ class TestFeatureShard:
         assert shard_path(tmp_path / "p.f32") == tmp_path / "p.f32.f32"
 
     def test_each_feature_file_is_read_once(self, tmp_path, monkeypatch):
-        # One positioned read per record, of the rows it names; together they read each shard row once.
+        # One read per turn, of the rows it names; together they read each shard row once, in order.
         import episcore.episodes as episodes
 
         path = tmp_path / "pairs.jsonl"
         pairs = self._pairs()
         write_pairs(pairs, path)
-        reads, preadv = [], os.preadv
-        monkeypatch.setattr(os, "preadv", lambda fd, bufs, at: reads.append((at, sum(b.nbytes for b in bufs)))
-                            or preadv(fd, bufs, at))
+        reads, read_rows = [], episodes._read_rows
+        monkeypatch.setattr(episodes, "_read_rows", lambda fh, p, row, frames, *rest: reads.append((row, frames))
+                            or read_rows(fh, p, row, frames, *rest))
         monkeypatch.setattr(episodes, "read_features", lambda p: pytest.fail(f"read {p} whole"))
         read_pairs(path)
-        row_bytes = 4 * D_IN
-        sizes = [row_bytes * sum(t.n_frames for t in p.chosen.turns + p.rejected.turns) for p in pairs]
-        starts = np.cumsum([0] + sizes[:-1]) + 16  # past the header
-        assert reads == list(zip(starts.tolist(), sizes))
-        assert starts[-1] + sizes[-1] == os.path.getsize(shard_path(path))
+        frames = [t.n_frames for p in pairs for t in p.chosen.turns + p.rejected.turns]
+        assert reads == list(zip(np.cumsum([0] + frames[:-1]).tolist(), frames))
+        assert 16 + sum(frames) * 4 * D_IN == os.path.getsize(shard_path(path))
 
     @pytest.mark.parametrize("layout", _PAIR_LAYOUTS)
     def test_short_reads_continue_where_they_stopped(self, tmp_path, monkeypatch, layout):
-        # A positioned read may move fewer bytes than asked (Linux moves at most about 2 GiB a call).
+        # A read of the file may move fewer bytes than asked (Linux moves at most about 2 GiB a call).
+        import episcore.episodes as episodes
+
         path = tmp_path / "pairs.jsonl"
         pairs = self._pairs()
         _PAIR_LAYOUTS[layout](pairs, path)
-        preadv, calls = os.preadv, []
+        raws, open_features = [], episodes._open_features
 
-        def trickle(fd, bufs, at):  # 5 bytes a call at most: not a multiple of the 16-byte row
-            calls.append(at)
-            return preadv(fd, [memoryview(bufs[0]).cast("B")[:5]], at)
+        def trickling(path):
+            fh, rows, d_in = open_features(path)
+            fh.close()
+            raws.append(_TrickleFile(path))
+            return io.BufferedReader(raws[-1]), rows, d_in
 
-        monkeypatch.setattr(os, "preadv", trickle)
+        monkeypatch.setattr(episodes, "_open_features", trickling)
         assert read_pairs(path) == pairs
         turns = [t for p in pairs for t in p.chosen.turns + p.rejected.turns]
-        assert len(calls) >= sum(t.features.nbytes for t in turns) / 5
+        assert sum(raw.reads for raw in raws) >= sum(t.features.nbytes for t in turns) / 5
         if layout == "shard":
             assert np.array_equal(read_features(shard_path(path)), np.concatenate([t.features for t in turns]))
 
     @pytest.mark.parametrize("first", [0, 5], ids=["nothing", "five-bytes"])
     def test_a_read_that_stops_before_the_end_is_feature_io(self, tmp_path, monkeypatch, first):
+        import episcore.episodes as episodes
+
         path = tmp_path / "pairs.jsonl"
         write_pairs(self._pairs(), path)
-        preadv, calls = os.preadv, []
+        open_features = episodes._open_features
 
-        def stop(fd, bufs, at):  # ``first`` bytes, then end of file
-            calls.append(at)
-            return preadv(fd, [memoryview(bufs[0]).cast("B")[:first]], at) if len(calls) == 1 else 0
+        def truncating(path):  # the file loses all but ``first`` bytes of its rows once its size is checked
+            fh, rows, d_in = open_features(path)
+            fh.close()
+            os.truncate(path, 16 + first)
+            return open(path, "rb"), rows, d_in
 
-        monkeypatch.setattr(os, "preadv", stop)
-        want = 2 * 2 * 3 * 4 * D_IN  # p0: two sides of two turns of three frames
+        monkeypatch.setattr(episodes, "_open_features", truncating)
+        want = 3 * 4 * D_IN  # the first turn of p0: three frames
         with pytest.raises(FeatureIOError, match=rf"^line 1: feature sidecar .*pairs.jsonl.f32: read {first} of "
                                                  rf"{want} bytes at row 0$"):
             read_pairs(path)
+
+    def test_reading_needs_no_positioned_read(self, tmp_path, monkeypatch):
+        pairs = self._pairs()
+        write_pairs(pairs, tmp_path / "pairs.jsonl")
+        episodes_in = [make_episode(episode_id=f"ep-{i}") for i in range(2)]
+        write_episodes(episodes_in, tmp_path / "episodes.jsonl")
+        monkeypatch.delattr(os, "preadv", raising=False)
+        assert read_pairs(tmp_path / "pairs.jsonl") == pairs
+        assert read_episodes(tmp_path / "episodes.jsonl") == episodes_in
+        turns = [t for p in pairs for t in p.chosen.turns + p.rejected.turns]
+        assert np.array_equal(read_features(shard_path(tmp_path / "pairs.jsonl")),
+                              np.concatenate([t.features for t in turns]))
+
+    @pytest.mark.parametrize("layout", _PAIR_LAYOUTS)
+    def test_a_feature_file_of_d_in_0_is_feature_io(self, tmp_path, layout):
+        path = tmp_path / "pairs.jsonl"
+        _PAIR_LAYOUTS[layout](self._pairs(), path)
+        first = tmp_path / _turn_records(path)[0]["features_path"]
+        write_features(first, np.zeros((3, 0), dtype=np.float32))
+        with pytest.raises(FeatureIOError) as exc:
+            read_pairs(path)
+        assert str(exc.value) == f"line 1: feature file {first} has d_in 0; a turn needs d_in >= 1"
 
     @pytest.mark.parametrize("layout", _PAIR_LAYOUTS)
     def test_a_dropped_pair_leaves_none_of_its_rows_behind(self, tmp_path, layout):
@@ -512,7 +552,6 @@ class TestFeatureShard:
         assert not any(np.shares_memory(a, b) for i, a in enumerate(feats) for b in feats[i + 1 :])
 
     def test_a_record_of_more_turns_than_one_read_takes_fails_by_its_rule(self, tmp_path):
-        # 2 x 600 turns are more arrays than one positioned read takes (IOV_MAX, 1024).
         path = tmp_path / "pairs.jsonl"
         write_pairs([make_pair("long", n_turns=600)], path)
         with pytest.raises(InvariantError) as exc:
