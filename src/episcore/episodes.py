@@ -23,14 +23,16 @@ rule instead of failing fast, so pipeline diagnostics see the full picture.
 
 Every manifest reader parses a record the same way. Each field is read with
 :func:`_get`, which accepts only that field's JSON type (a string, an array,
-an object, or a number that is not a bool; never null), and :func:`_record`
-turns any KeyError, TypeError, ValueError or OverflowError raised while
-building one record into PARSE_ERROR with the record's line number.
+an object, or a number that is not a bool; never null), and every check of
+one record runs in :func:`_record`, which gives each error raised there the
+record's line number.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import struct
 from collections.abc import Iterable, Iterator
@@ -41,7 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateIdError, FeatureIOError, InvariantError, ManifestParseError, ShapeMismatchError
+from .errors import DuplicateIdError, EpiscoreError, FeatureIOError, InvariantError, ManifestParseError
+from .errors import ShapeMismatchError
 
 SOURCE_TIERS = ("wild", "semi-wild", "scripted", "colloquial")
 MODALITY_TIERS = ("wild", "semi-wild", "scripted")
@@ -93,8 +96,10 @@ class Turn:
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValueError(f"features must be (F, d_in) with F >= 1 and d_in >= 1, got shape {feats.shape}")
         self.features = feats
-        if self.duration_s < 0:
-            raise ValueError(f"duration_s must be non-negative, got {self.duration_s}")
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise ValueError(f"duration_s must be finite and non-negative, got {self.duration_s}")
+        if not all(t is None or math.isfinite(t) for t in (self.start_s, self.end_s)):
+            raise ValueError(f"start_s and end_s must be finite, got {self.start_s} and {self.end_s}")
         if self.start_s is not None and self.end_s is not None and self.end_s < self.start_s:
             raise ValueError(f"end_s {self.end_s} precedes start_s {self.start_s}")
 
@@ -183,8 +188,8 @@ class Segment:
     features_path: str
 
     def __post_init__(self):
-        if self.end_s <= self.start_s:
-            raise ValueError(f"segment end_s {self.end_s} must exceed start_s {self.start_s}")
+        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s) and self.end_s > self.start_s):
+            raise ValueError(f"segment end_s {self.end_s} must be finite and exceed a finite start_s {self.start_s}")
 
     @property
     def duration_s(self) -> float:
@@ -256,16 +261,23 @@ _SIDECAR_HEADER = struct.Struct("<QQ")
 _FRAME_DTYPE = np.dtype("<f4")  # the byte order of feature files, which readinto copies as is
 
 
+def _write_feature_file(path: str | Path, rows: int, d_in: int, blocks: Iterable[np.ndarray]) -> None:
+    """Write a feature file in place: the header, then each block's rows in
+    order, ``rows`` rows of ``d_in`` values in all. Every feature file is written here."""
+    with open(path, "wb") as fh:
+        fh.write(_SIDECAR_HEADER.pack(rows, d_in))
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype=_FRAME_DTYPE))
+
+
 def write_features(path: str | Path, features: np.ndarray) -> None:
     """Write a 2-D array as one feature file, creating its directory."""
-    arr = np.ascontiguousarray(np.asarray(features, dtype="<f4"))
+    arr = np.asarray(features, dtype=_FRAME_DTYPE)
     if arr.ndim != 2:
         raise FeatureIOError(f"features must be 2-D, got shape {arr.shape}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_SIDECAR_HEADER.pack(arr.shape[0], arr.shape[1]))
-        fh.write(arr)
+    _write_feature_file(path, *arr.shape, [arr])
 
 
 def _open_features(path: str | Path):
@@ -301,7 +313,7 @@ def read_features(path: str | Path) -> np.ndarray:
         return _read_rows(fh, path, 0, n_frames, d_in)
 
 
-def _read_rows(fh, path: str | Path, row: int, frames: int, d_in: int, line: int | None = None) -> np.ndarray:
+def _read_rows(fh, path: str | Path, row: int, frames: int, d_in: int) -> np.ndarray:
     """Rows ``[row, row + frames)`` of the feature file ``fh`` (opened by
     :func:`_open_features`) as a new writable ``(frames, d_in)`` float32
     array, read with one seek and one ``readinto`` of the buffered file,
@@ -312,9 +324,9 @@ def _read_rows(fh, path: str | Path, row: int, frames: int, d_in: int, line: int
         fh.seek(_SIDECAR_HEADER.size + row * d_in * 4)
         got = fh.readinto(out)
     except OSError as exc:
-        raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}", line=line) from exc
+        raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}") from exc
     if got != out.nbytes:
-        raise FeatureIOError(f"feature sidecar {path}: read {got} of {out.nbytes} bytes at row {row}", line=line)
+        raise FeatureIOError(f"feature sidecar {path}: read {got} of {out.nbytes} bytes at row {row}")
     return out
 
 
@@ -405,28 +417,33 @@ def _get(rec: dict, key: str, kind: type):
 
 @contextmanager
 def _record(kind: str, line: int):
-    """A KeyError, TypeError, ValueError or OverflowError (an int too large
-    for a float) raised while parsing one record is PARSE_ERROR at ``line``."""
+    """Number the errors of the record at ``line``: a toolkit error gets
+    ``line`` if it has none, and a KeyError, TypeError, ValueError or
+    OverflowError (an int too large for a float) is PARSE_ERROR at ``line``."""
     try:
         yield
+    except EpiscoreError as exc:  # before ValueError: InvariantError and CheckpointError are ValueErrors
+        if exc.line is None:
+            exc.line = line
+        raise
     except KeyError as exc:
         raise ManifestParseError(f"{kind} missing key {exc}", line=line) from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ManifestParseError(f"bad {kind}: {exc}", line=line) from exc
 
 
-def _claim_id(seen: set[str], owner_id: str, kind: str, line: int | None = None) -> None:
+def _claim_id(seen: set[str], owner_id: str, kind: str) -> None:
     """Add an id to ``seen``; raise DUPLICATE_ID if it is already there."""
     if owner_id in seen:
-        raise DuplicateIdError(f"duplicate {kind} {owner_id!r}", line=line)
+        raise DuplicateIdError(f"duplicate {kind} {owner_id!r}")
     seen.add(owner_id)
 
 
-def _sidecar_name(owner_id: str, index: int) -> str:
-    # Percent-escaping "%" first keeps the mapping injective, so distinct
-    # owners never share a sidecar file.
-    safe = owner_id.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
-    return f"{safe}.{index:02d}.f32"
+def _sidecar_paths(ep: Episode, features_dir: str) -> list[str]:
+    """Each turn's sidecar, relative to the manifest's directory. Escaping "%"
+    first keeps the naming injective, so distinct episodes never share a file."""
+    safe = ep.episode_id.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
+    return [f"{features_dir}/{safe}.{i:02d}.f32" for i in range(ep.n_turns)]
 
 
 def _turn_record(turn: Turn, features_path: str, row: int | None = None) -> dict:
@@ -464,14 +481,13 @@ class _FeatureFiles:
     its own by one :func:`_read_rows`. Only the file the last turn named
     is open; it is closed when a turn names another. No rows are kept, so
     a stream of pairs holds the rows of the pairs it has not dropped, and
-    nothing more. Errors name ``line``, the manifest line being parsed.
+    nothing more. Errors get their line from :func:`_record`.
     """
 
     def __init__(self, base_dir: str = ""):
         self.base_dir = base_dir
         self.path: str | None = None  # the file the last turn named
         self.file: tuple | None = None  # (open file, rows, d_in) of self.path
-        self.line: int | None = None
 
     def rows(self, path: str, row: int | None = None, frames: int | None = None) -> np.ndarray:
         path = os.path.join(self.base_dir, path)
@@ -480,16 +496,14 @@ class _FeatureFiles:
             self.file, self.path = _open_features(path), path
         fh, n_rows, d_in = self.file
         if d_in == 0:
-            raise FeatureIOError(f"feature file {path} has d_in 0; a turn needs d_in >= 1", line=self.line)
+            raise FeatureIOError(f"feature file {path} has d_in 0; a turn needs d_in >= 1")
         if row is None:
             if n_rows == 0:
-                raise FeatureIOError(f"feature file {path} has no rows; a turn needs at least one", line=self.line)
+                raise FeatureIOError(f"feature file {path} has no rows; a turn needs at least one")
             row, frames = 0, n_rows
         elif row + frames > n_rows:
-            raise FeatureIOError(
-                f"feature file {path}: rows [{row}, {row + frames}) past its {n_rows} rows", line=self.line
-            )
-        return _read_rows(fh, path, row, frames, d_in, self.line)
+            raise FeatureIOError(f"feature file {path}: rows [{row}, {row + frames}) past its {n_rows} rows")
+        return _read_rows(fh, path, row, frames, d_in)
 
     def close(self) -> None:
         """Close the open file."""
@@ -530,6 +544,11 @@ def shard_path(manifest: str | Path) -> Path:
     return manifest.with_name(manifest.name + ".f32")
 
 
+def _pair_turns(pairs: Iterable[PreferencePair]) -> Iterator[Turn]:
+    """Every turn of ``pairs`` in manifest order: each pair's chosen turns, then its rejected ones."""
+    return (turn for pair in pairs for turn in (*pair.chosen.turns, *pair.rejected.turns))
+
+
 def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
     """Write a pair manifest plus its feature shard (:func:`shard_path`).
 
@@ -539,51 +558,38 @@ def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
     ``row`` and ``frames``. Rewriting the same pairs produces
     byte-identical files.
 
-    One pass over the turns sums their frames for the shard header; then
-    each turn's rows go to the open shard as ``write_jsonl`` takes its
-    record, so no copy of all frames and no list of records is built.
+    The shard is written and closed before the JSONL, each turn's rows
+    straight from its array, and each turn's ``row`` is a running sum of
+    frames, so no copy of all frames and no list of records is built.
     Before writing anything, raises DUPLICATE_ID when two pairs share a
     pair_id and SHAPE_MISMATCH when the turns' ``d_in`` differ.
     """
     seen: set[str] = set()
-    rows, d_ins = 0, set()
     for pair in pairs:
         _claim_id(seen, pair.pair_id, "pair_id")
-        for turn in (*pair.chosen.turns, *pair.rejected.turns):
-            rows += turn.n_frames
-            d_ins.add(turn.d_in)
+    d_ins = {turn.d_in for turn in _pair_turns(pairs)}
     if len(d_ins) > 1:
         raise ShapeMismatchError(f"turn features have d_in {sorted(d_ins)}; a pair manifest's shard holds one d_in")
-    path = Path(path)
     shard = shard_path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(shard, "wb") as fh:
-        fh.write(_SIDECAR_HEADER.pack(rows, d_ins.pop() if d_ins else 0))
-        next_row = 0
-
-        def shard_turns(ep: Episode) -> list[dict]:
-            nonlocal next_row
-            turns = []
-            for turn in ep.turns:
-                fh.write(np.ascontiguousarray(turn.features, dtype="<f4"))
-                turns.append(_turn_record(turn, shard.name, next_row))
-                next_row += turn.n_frames
-            return turns
-
-        write_jsonl(
-            (
-                {
-                    "pair_id": pair.pair_id,
-                    "criterion": pair.criterion.value,
-                    "split": pair.split,
-                    "source_tier": pair.source_tier,
-                    "chosen": _episode_record(pair.chosen, shard_turns(pair.chosen)),
-                    "rejected": _episode_record(pair.rejected, shard_turns(pair.rejected)),
-                }
-                for pair in pairs
-            ),
-            path,
-        )
+    shard.parent.mkdir(parents=True, exist_ok=True)
+    rows = sum(turn.n_frames for turn in _pair_turns(pairs))
+    _write_feature_file(shard, rows, d_ins.pop() if d_ins else 0, (turn.features for turn in _pair_turns(pairs)))
+    starts = itertools.accumulate((turn.n_frames for turn in _pair_turns(pairs)), initial=0)
+    turns = (_turn_record(turn, shard.name, row) for turn, row in zip(_pair_turns(pairs), starts))
+    write_jsonl(
+        (
+            {
+                "pair_id": pair.pair_id,
+                "criterion": pair.criterion.value,
+                "split": pair.split,
+                "source_tier": pair.source_tier,
+                "chosen": _episode_record(pair.chosen, [next(turns) for _ in pair.chosen.turns]),
+                "rejected": _episode_record(pair.rejected, [next(turns) for _ in pair.rejected.turns]),
+            }
+            for pair in pairs
+        ),
+        path,
+    )
 
 
 def _pair_headers(records: Iterator[tuple[int, dict]]) -> Iterator[tuple[int, dict, str, Criterion, str, str]]:
@@ -599,11 +605,11 @@ def _pair_headers(records: Iterator[tuple[int, dict]]) -> Iterator[tuple[int, di
             split = _get(rec, "split", str)
             source_tier = _get(rec, "source_tier", str)
             _get(rec, "chosen", dict), _get(rec, "rejected", dict)  # both sides must be objects
-        _claim_id(seen, pair_id, "pair_id", lineno)
-        if split not in SPLITS:
-            raise ManifestParseError(f"unknown split {split!r}", line=lineno)
-        if source_tier not in SOURCE_TIERS:
-            raise ManifestParseError(f"unknown source_tier {source_tier!r}", line=lineno)
+            _claim_id(seen, pair_id, "pair_id")
+            if split not in SPLITS:
+                raise ManifestParseError(f"unknown split {split!r}")
+            if source_tier not in SOURCE_TIERS:
+                raise ManifestParseError(f"unknown source_tier {source_tier!r}")
         yield lineno, rec, pair_id, criterion, split, source_tier
 
 
@@ -613,17 +619,15 @@ def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
 
     The manifest is opened by the call, so a missing file raises OSError
     here; records are parsed as the pairs are consumed, so a bad record
-    raises when the iteration reaches it. Raises :class:`ManifestParseError`
-    (with the line number) for records that do not match the schema, a
-    ``row`` or ``frames`` that is not a non-negative integer (``frames`` >=
-    1) included; :class:`FeatureIOError` for a feature file that cannot be
-    read, or (with the line number) for a row range past its end;
-    :class:`DuplicateIdError` (with the line number) for a pair_id seen on
-    an earlier line; and :class:`InvariantError` (with the violation codes)
-    for records whose episodes fail validation or whose sides disagree on
-    turn count or tier. Each turn's rows are read as it is parsed, with
-    one buffered read (see :class:`_FeatureFiles`); every turn holds its
-    own array of its rows, and the reader keeps none, so a dropped pair's
+    raises, with its line number, when the iteration reaches it:
+    :class:`ManifestParseError` if it does not match the schema (a ``row``
+    or ``frames`` that is not a non-negative integer, ``frames`` >= 1,
+    included); :class:`FeatureIOError` for a feature file that cannot be
+    read or a row range past its end; :class:`DuplicateIdError` for a
+    pair_id seen on an earlier line; :class:`InvariantError`, with the
+    violation codes, if its episodes fail validation or its sides disagree
+    on turn count or tier. Each turn's rows are read as it is parsed (see
+    :class:`_FeatureFiles`) into an array of its own, so a dropped pair's
     rows are freed, in either layout. Each pair is validated once: the
     episode rules here, the pair rules by :class:`PreferencePair`.
     """
@@ -633,17 +637,16 @@ def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
 def _pairs(records: Iterator[tuple[int, dict]], files: _FeatureFiles) -> Iterator[PreferencePair]:
     with closing(files):
         for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(records):
-            files.line = lineno
             with _record("pair record", lineno):
                 chosen = _parse_episode(rec["chosen"], files, source_tier)
                 rejected = _parse_episode(rec["rejected"], files, source_tier)
-            codes = validate_episode(chosen) + validate_episode(rejected)
-            try:
-                pair = PreferencePair(pair_id, chosen, rejected, criterion, split)  # validates the pair
-            except InvariantError as exc:
-                codes += exc.codes
-            if codes:
-                raise InvariantError(sorted(set(codes)), message=f"pair {pair_id}", line=lineno)
+                codes = validate_episode(chosen) + validate_episode(rejected)
+                try:
+                    pair = PreferencePair(pair_id, chosen, rejected, criterion, split)  # validates the pair
+                except InvariantError as exc:
+                    codes += exc.codes
+                if codes:
+                    raise InvariantError(sorted(set(codes)), message=f"pair {pair_id}")
             yield pair
 
 
@@ -659,35 +662,31 @@ def read_pair_tiers(path: str | Path) -> dict[str, str]:
     return {pair_id: source_tier for _, _, pair_id, _, _, source_tier in _pair_headers(read_jsonl(path))}
 
 
-def _sidecar_turns(ep: Episode, manifest_path: Path) -> list[dict]:
-    features_dir = f"{manifest_path.stem}_features"
-    turns = []
-    for i, turn in enumerate(ep.turns):
-        rel = f"{features_dir}/{_sidecar_name(ep.episode_id, i)}"
-        write_features(manifest_path.parent / rel, turn.features)
-        turns.append(_turn_record(turn, rel))
-    return turns
-
-
 def write_episodes(episodes: list[Episode], path: str | Path) -> None:
     """Write an episode manifest (pipeline intermediate) plus sidecars.
 
     Sidecars go to ``<stem>_features/`` next to the manifest, one file per
-    turn, named injectively from (episode_id, turn index). Raises
-    DUPLICATE_ID, before writing anything, when two episodes share an
-    episode_id.
+    turn, named injectively from (episode_id, turn index); all of them are
+    written before the JSONL. Raises DUPLICATE_ID, before writing
+    anything, when two episodes share an episode_id.
     """
     seen: set[str] = set()
     for ep in episodes:
         _claim_id(seen, ep.episode_id, "episode_id")
     path = Path(path)
+    features_dir = f"{path.stem}_features"
+    if any(ep.turns for ep in episodes):
+        (path.parent / features_dir).mkdir(parents=True, exist_ok=True)
+    for ep in episodes:
+        for turn, rel in zip(ep.turns, _sidecar_paths(ep, features_dir)):
+            _write_feature_file(path.parent / rel, *turn.features.shape, [turn.features])
     # Record keys: episode_id, source_tier, metadata, turns.
     write_jsonl(
         (
             {
                 "episode_id": ep.episode_id,
                 "source_tier": ep.source_tier,
-                **_episode_record(ep, _sidecar_turns(ep, path)),
+                **_episode_record(ep, list(map(_turn_record, ep.turns, _sidecar_paths(ep, features_dir)))),
             }
             for ep in episodes
         ),
@@ -708,10 +707,9 @@ def read_episodes(path: str | Path) -> list[Episode]:
     files = _FeatureFiles(os.path.dirname(path))
     with closing(files):
         for lineno, rec in read_jsonl(path):
-            files.line = lineno
             with _record("episode record", lineno):
                 ep = _parse_episode(rec, files, _get(rec, "source_tier", str))
-            _claim_id(seen, ep.episode_id, "episode_id", lineno)
+                _claim_id(seen, ep.episode_id, "episode_id")
             episodes.append(ep)
     return episodes
 

@@ -7,15 +7,17 @@ match on the contract name rather than on the message text.
 
 class EpiscoreError(Exception):
     """Base class for all toolkit errors; ``line`` is the manifest line the
-    error was found on, if any, and prefixes the message."""
+    error was found on, if any, and prefixes the message as ``line N: ``."""
 
     code = "ERROR"
 
     def __init__(self, message: str = "", line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
+        self.line = line
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.line is None else f"line {self.line}: {message}"
 
 
 class ManifestParseError(EpiscoreError):
@@ -36,14 +38,10 @@ class InvariantError(EpiscoreError, ValueError):
 
     code = "INVARIANT_ERROR"
 
-    def __init__(self, codes, message: str = "", line: int | None = None):
+    def __init__(self, codes, message: str = ""):
         self.codes = list(codes)
-        parts = [message] if message else []
-        parts.append(f"violations: {', '.join(self.codes)}")
-        if line is not None:
-            parts.insert(0, f"line {line}")
-        super().__init__("; ".join(parts))
-        self.line = line
+        violations = f"violations: {', '.join(self.codes)}"
+        super().__init__(f"{message}; {violations}" if message else violations)
 
 
 class EmptyManifestError(EpiscoreError):

@@ -236,7 +236,7 @@ def read_scores(path: str | Path) -> list[ScoredPair]:
     for lineno, rec in read_jsonl(path):
         with _record("score record", lineno):
             scored.append(ScoredPair(**{k: _get(rec, k, kind) for k, kind in _SCORE_FIELDS.items()}))
-        _claim_id(seen, scored[-1].pair_id, "pair_id", lineno)
+            _claim_id(seen, scored[-1].pair_id, "pair_id")
     return scored
 
 

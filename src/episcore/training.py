@@ -312,7 +312,8 @@ def train(
     ``eval_every`` steps (and at the last step); the returned params are
     the ones with minimal validation loss. When ``checkpoint_dir`` is
     given, a rolling window of the 20 most recent eval-point checkpoints
-    is kept on disk.
+    is kept on disk, and at the end every other ``step-*.ckpt`` there (an
+    earlier run's) is removed.
     """
     train_table = pair_table(pairs, scorer_cfg)
     val_table = pair_table(val_pairs, scorer_cfg)
@@ -375,12 +376,14 @@ def train(
                 path = ckpt_dir / f"step-{step:06d}.ckpt"
                 scorer.save_checkpoint(path, scorer_cfg, params)
                 window.append(path)
-                while len(window) > CHECKPOINT_WINDOW:
-                    old = window.pop(0)
-                    old.unlink(missing_ok=True)
+                if len(window) > CHECKPOINT_WINDOW:
+                    window.pop(0).unlink(missing_ok=True)
 
         history.append(report)
 
+    if ckpt_dir is not None:
+        for stale in set(ckpt_dir.glob("step-*.ckpt")) - set(window):
+            stale.unlink()
     if not has_val:
         best_params = scorer.clone_params(params)
         best_step = cfg.total_steps

@@ -160,7 +160,7 @@ class TestTrainScoreEval:
         scorer.save_checkpoint(ckpt, cfg, scorer.init_params(cfg, seed=1))
         argv = ["--pairs", manifest, "--checkpoint", ckpt, "--out", "s.jsonl", "--out-dir", tmp_path / "out"]
         assert run("score", *argv) == 1
-        assert capsys.readouterr().err.startswith(f"error[{code}]: line 40")
+        assert capsys.readouterr().err.startswith(f"error[{code}]: line 40: ")
         assert not (tmp_path / "out" / "s.jsonl").exists()
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["run-manifest.json"]
 

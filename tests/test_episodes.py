@@ -2,6 +2,7 @@ import functools
 import gc
 import io
 import json
+import math
 import operator
 import os
 import tempfile
@@ -37,7 +38,6 @@ from episcore.episodes import (
     TURN_TOO_LONG,
     Segment,
     SegmentManifest,
-    _sidecar_name,
     read_features,
     shard_path,
     write_features,
@@ -129,6 +129,23 @@ class TestTurnConstruction:
         t = Turn("spk-a", "hi", 1.0, np.ones((2, 3)))
         assert t.features.dtype == np.float32
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: make_turn(duration=v),
+            lambda v: make_turn(start_s=v),
+            lambda v: make_turn(end_s=v),
+            lambda v: Segment("spk-a", v, 1.0, "yeah", "seg.f32"),
+            lambda v: Segment("spk-a", 0.0, v, "yeah", "seg.f32"),
+        ],
+        ids=["turn_duration_s", "turn_start_s", "turn_end_s", "segment_start_s", "segment_end_s"],
+    )
+    def test_a_time_that_is_not_finite_is_refused(self, build, value):
+        # Refused when built, so no writer puts a token on disk that the readers refuse.
+        with pytest.raises(ValueError, match="must be finite"):
+            build(value)
+
 
 class TestPairConstruction:
     def test_turn_count_mismatch_rejected(self):
@@ -193,6 +210,14 @@ class TestPairManifest:
         with pytest.raises(ManifestParseError) as exc:
             read_pairs(path)
         assert exc.value.line == 2
+
+    def test_a_duration_that_overflows_to_inf_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs([make_pair()], path)
+        path.write_text(path.read_text().replace('"duration_s":5.0', '"duration_s":1e999', 1))
+        with pytest.raises(ManifestParseError, match="must be finite") as exc:
+            read_pairs(path)
+        assert type(exc.value) is ManifestParseError and exc.value.line == 1
 
     def test_too_many_turns_rejected_with_code(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
@@ -313,6 +338,15 @@ class TestPairManifest:
         assert [float(p.chosen.turns[0].features[0, 0]) for p in back] == [float(i) for i in range(len(ids))]
         assert sorted(os.listdir(tmp_path)) == ["pairs.jsonl", "pairs.jsonl.f32"]
 
+    def test_episode_sidecars_make_their_directory_once(self, tmp_path, monkeypatch):
+        made, mkdir = [], Path.mkdir
+        monkeypatch.setattr(Path, "mkdir", lambda self, *a, **kw: made.append(self) or mkdir(self, *a, **kw))
+        episodes_in = [make_episode(4, episode_id=f"ep-{i}") for i in range(5)]
+        write_episodes(episodes_in, tmp_path / "episodes.jsonl")
+        assert made.count(tmp_path / "episodes_features") == 1 and len(made) <= 2  # the features dir, the manifest's
+        assert len(os.listdir(tmp_path / "episodes_features")) == 20
+        assert read_episodes(tmp_path / "episodes.jsonl") == episodes_in
+
     def test_plain_ids_keep_their_sidecar_names(self, tmp_path):
         # Episode manifests keep one sidecar per turn, named from the id.
         path = tmp_path / "episodes.jsonl"
@@ -345,7 +379,7 @@ def _write_sidecar_pairs(pairs: list[PreferencePair], path: Path) -> None:
             ep = getattr(pair, side)
             turns = []
             for i, turn in enumerate(ep.turns):
-                rel = f"{path.stem}_features/{_sidecar_name(f'{pair.pair_id}.{side}', i)}"
+                rel = f"{path.stem}_features/{pair.pair_id}.{side}.{i:02d}.f32"
                 write_features(path.parent / rel, turn.features)
                 turns.append({"speaker_id": turn.speaker_id, "transcript": turn.transcript,
                               "duration_s": turn.duration_s, "features_path": rel})
@@ -614,8 +648,25 @@ class TestFeatureShard:
         write_pairs(self._pairs(), path)
         shard = shard_path(path)
         shard.write_bytes(shard.read_bytes()[:end])
-        with pytest.raises(FeatureIOError, match="feature sidecar .*pairs.jsonl.f32"):
+        with pytest.raises(FeatureIOError, match="feature sidecar .*pairs.jsonl.f32") as exc:
             read_pairs(path)
+        assert exc.value.line == 1  # the size is checked when the first turn opens the shard
+
+    def test_the_shard_is_whole_on_disk_before_the_jsonl_is_written(self, tmp_path, monkeypatch):
+        import episcore.episodes as episodes
+
+        pairs, path = self._pairs(), tmp_path / "pairs.jsonl"
+        want = np.concatenate([t.features for p in pairs for t in p.chosen.turns + p.rejected.turns])
+        seen, write_jsonl_ = [], episodes.write_jsonl
+
+        def checking(records, target):
+            seen.append(read_features(shard_path(path)))  # a short or unflushed shard is FEATURE_IO here
+            write_jsonl_(records, target)
+
+        monkeypatch.setattr(episodes, "write_jsonl", checking)
+        write_pairs(pairs, path)
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+        assert read_pairs(path) == pairs
 
     def test_empty_pair_list_writes_an_empty_shard(self, tmp_path):
         path = tmp_path / "pairs.jsonl"

@@ -248,6 +248,17 @@ class TestTrainLoop:
         assert ckpts[0].name == "step-000006.ckpt"
         assert ckpts[-1].name == "step-000025.ckpt"
 
+    def test_a_rerun_leaves_only_its_own_rolling_checkpoints(self, tmp_path):
+        # A longer run's higher-numbered checkpoints must not outlive a shorter rerun into the same directory.
+        train_pairs, val_pairs = self._tiny_sets()
+        scfg = ScorerConfig(d_in=8, d=4, head_hidden=4)
+        train(train_pairs, val_pairs, scfg, TrainConfig(total_steps=30, eval_every=1, batch_size=8, seed=5),
+              checkpoint_dir=tmp_path)
+        (tmp_path / "best.ckpt").write_bytes(b"kept")
+        train(train_pairs, val_pairs, scfg, TrainConfig(total_steps=8, eval_every=2, batch_size=8, seed=5),
+              checkpoint_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"] + [f"step-{s:06d}.ckpt" for s in (2, 4, 6, 8)]
+
     def test_learnability_smoke(self):
         cfg = synth_config(seed=41)
         train_pairs = synth_pairs(cfg, 200, split="train")
