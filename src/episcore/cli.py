@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__, config as configio, evaluation, gradcheck, pipeline, scorer, training
 from .episodes import (
-    _record, iter_pairs, read_episodes, read_pair_tiers, read_pairs, read_segments, write_episodes, write_jsonl,
-    write_pairs,
+    _record, _replace_file, iter_pairs, read_episodes, read_pair_tiers, read_pairs, read_segments, write_episodes,
+    write_jsonl, write_pairs,
 )
 from .errors import EmptySetError, EpiscoreError, ManifestParseError
 
@@ -36,8 +36,7 @@ def _resolve(out_dir: str, path: str) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _replace_file(path, [(json.dumps(payload, indent=2) + "\n").encode()])
 
 
 def _write_run_manifest(args: argparse.Namespace, out_dir: Path) -> None:
@@ -183,7 +182,7 @@ def _eval(scores_path, pairs_path, out_dir: Path) -> list[evaluation.ScoredPair]
             )
     report = evaluation.build_report(scored)
     _write_json(out_dir / "report.json", dataclasses.asdict(report))
-    (out_dir / "report.csv").write_text(evaluation.report_csv(report), encoding="utf-8")
+    _replace_file(out_dir / "report.csv", [evaluation.report_csv(report).encode()])
     print(
         f"evaluated {len(scored)} pairs: overall micro "
         f"{evaluation.format_percent(report.overall_micro)}%, reports in {out_dir}"
@@ -210,11 +209,7 @@ def cmd_agreement(args) -> int:
         "overall": dataclasses.asdict(overall),
     }
     _write_json(out_dir / "agreement.json", payload)
-    with open(out_dir / "agreement.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subset", "count", "avg_margin", "agree_rate", "se"])
-        for r in per_subset + [overall]:
-            writer.writerow([r.subset_name, r.count, r.avg_margin, r.agree_rate, f"{r.se:.6f}"])
+    _replace_file(out_dir / "agreement.csv", [evaluation.agreement_csv(per_subset, overall).encode()])
     print(
         f"overall agreement {evaluation.format_percent(overall.agree_rate)}% "
         f"(se {evaluation.format_percent(overall.se)}%) over {overall.count} pairs"

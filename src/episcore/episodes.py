@@ -2,19 +2,11 @@
 
 An episode is an ordered multi-turn dialogue between exactly two speakers.
 Per-turn feature matrices (the audio proxy) live in binary feature files
-next to each manifest; the JSONL manifests themselves carry only metadata,
-which keeps them small and diffable. A pair manifest keeps every turn's
-frames in one shard, ``<manifest file name>.f32``, and each turn record
-names its ``row`` and ``frames`` there. An episode manifest keeps one
-sidecar file per turn, and a turn record without ``row``/``frames`` is all
-rows of its file. So every turn is a row range of a feature file, and
-every layout loads through one reader: each turn's rows are read, with
-one buffered read, into an array that only it holds, nothing is kept, and
-one feature file is open at a time. :func:`iter_pairs` streams a pair
-manifest one validated pair at a time, so a consumer that drops pairs
-holds only the rows of those it keeps.
-Every JSONL file is written through :func:`write_jsonl`, which replaces
-the old file atomically.
+next to each manifest, whose JSONL records carry only metadata. Every turn
+is a row range of a feature file (a pair manifest's shard, or an episode
+manifest's per-turn sidecar), and every layout loads through one reader,
+:class:`_FeatureFiles`. Every file the package writes is committed whole by
+:func:`_replace_file`, except per-turn feature files (:func:`_write_sidecar`).
 
 All types are plain immutable-by-convention dataclasses; none of them
 enforce the episode-level structural rules at construction time. Those
@@ -75,6 +67,23 @@ class Criterion(Enum):
         return 0 if self is Criterion.MODALITY else 1
 
 
+def _check_times(start_s: float | None, end_s: float | None, duration_s: float | None = None) -> None:
+    """The time rule of turns and segments, which the writers check again:
+    every time is finite, ``end_s`` does not precede ``start_s``, a turn's
+    ``duration_s`` is not negative, and a segment (no ``duration_s``) ends
+    after it starts. ValueError otherwise."""
+    for t in (start_s, end_s, duration_s):  # a loop, not all(): this runs for every turn read
+        if t is not None and not math.isfinite(t):
+            raise ValueError(f"times must be finite, got start_s {start_s}, end_s {end_s}, duration_s {duration_s}")
+    if duration_s is None:
+        if not end_s > start_s:
+            raise ValueError(f"segment end_s {end_s} must exceed start_s {start_s}")
+    elif duration_s < 0:
+        raise ValueError(f"duration_s must be non-negative, got {duration_s}")
+    if start_s is not None and end_s is not None and end_s < start_s:
+        raise ValueError(f"end_s {end_s} precedes start_s {start_s}")
+
+
 @dataclass(eq=False, slots=True)
 class Turn:
     """One dialogue turn: transcript plus an (F, d_in) frame matrix.
@@ -96,12 +105,7 @@ class Turn:
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValueError(f"features must be (F, d_in) with F >= 1 and d_in >= 1, got shape {feats.shape}")
         self.features = feats
-        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
-            raise ValueError(f"duration_s must be finite and non-negative, got {self.duration_s}")
-        if not all(t is None or math.isfinite(t) for t in (self.start_s, self.end_s)):
-            raise ValueError(f"start_s and end_s must be finite, got {self.start_s} and {self.end_s}")
-        if self.start_s is not None and self.end_s is not None and self.end_s < self.start_s:
-            raise ValueError(f"end_s {self.end_s} precedes start_s {self.start_s}")
+        _check_times(self.start_s, self.end_s, self.duration_s)
 
     @property
     def n_frames(self) -> int:
@@ -188,8 +192,7 @@ class Segment:
     features_path: str
 
     def __post_init__(self):
-        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s) and self.end_s > self.start_s):
-            raise ValueError(f"segment end_s {self.end_s} must be finite and exceed a finite start_s {self.start_s}")
+        _check_times(self.start_s, self.end_s)
 
     @property
     def duration_s(self) -> float:
@@ -261,23 +264,47 @@ _SIDECAR_HEADER = struct.Struct("<QQ")
 _FRAME_DTYPE = np.dtype("<f4")  # the byte order of feature files, which readinto copies as is
 
 
-def _write_feature_file(path: str | Path, rows: int, d_in: int, blocks: Iterable[np.ndarray]) -> None:
-    """Write a feature file in place: the header, then each block's rows in
-    order, ``rows`` rows of ``d_in`` values in all. Every feature file is written here."""
+def _replace_file(path: str | Path, chunks: Iterable) -> None:
+    """Commit the byte chunks as ``path``: make its directory, write them
+    into ``.<name>.<pid>.tmp`` beside it, then ``os.replace`` that over
+    ``path``. A process that dies mid-write leaves the old file or the new
+    one (power loss is not covered: nothing is fsynced), and if a chunk
+    raises, the temporary file goes and ``path`` is untouched. The only
+    file written otherwise is a per-turn feature file (:func:`_write_sidecar`)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _feature_chunks(rows: int, d_in: int, blocks: Iterable[np.ndarray]) -> Iterator:
+    """A feature file's bytes: the header, then each block's rows in order."""
+    yield _SIDECAR_HEADER.pack(rows, d_in)
+    for block in blocks:
+        yield np.ascontiguousarray(block, dtype=_FRAME_DTYPE)
+
+
+def _write_sidecar(path: str | Path, features: np.ndarray) -> None:
+    """Write a per-turn feature file in place: a curation round writes thousands, and a
+    temporary file plus a rename each halves its throughput (until episode manifests use shards)."""
     with open(path, "wb") as fh:
-        fh.write(_SIDECAR_HEADER.pack(rows, d_in))
-        for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype=_FRAME_DTYPE))
+        fh.writelines(_feature_chunks(*features.shape, [features]))
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
-    """Write a 2-D array as one feature file, creating its directory."""
+    """Write a 2-D array as one feature file, in place, creating its directory."""
     arr = np.asarray(features, dtype=_FRAME_DTYPE)
     if arr.ndim != 2:
         raise FeatureIOError(f"features must be 2-D, got shape {arr.shape}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_feature_file(path, *arr.shape, [arr])
+    _write_sidecar(path, arr)
 
 
 def _open_features(path: str | Path):
@@ -340,27 +367,10 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
-    """Write one compact JSON object per line, keys in the order given.
-
-    The lines stream into a temporary file in ``path``'s directory, which
-    then replaces ``path`` (``os.replace``). So a process that dies
-    mid-write leaves the old file or the new one, never a partial one;
-    power loss is not covered, as nothing is fsynced. If producing the
-    records raises, ``path`` is untouched and the temporary file is
-    removed. The temporary file is made by a plain ``open``, so the new
-    file gets the permissions any new file would get.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(_ENCODER.encode(rec) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write one compact JSON object per line, keys in the order given, as
+    UTF-8, committed by :func:`_replace_file`: if producing the records
+    raises, ``path`` is untouched."""
+    _replace_file(path, ((_ENCODER.encode(rec) + "\n").encode() for rec in records))
 
 
 def _reject_constant(token: str):
@@ -472,15 +482,12 @@ def _episode_record(ep: Episode, turns: list[dict]) -> dict:
 
 
 class _FeatureFiles:
-    """The reader of the feature files one manifest names. Every turn is a
-    row range of a feature file: its ``row`` and ``frames`` (a pair
-    manifest's shard), or all rows of the file when the record has
-    neither (a per-turn sidecar).
-
-    Each turn's rows are read, as the turn is parsed, into an array of
-    its own by one :func:`_read_rows`. Only the file the last turn named
-    is open; it is closed when a turn names another. No rows are kept, so
-    a stream of pairs holds the rows of the pairs it has not dropped, and
+    """The reader of the feature files one manifest names. A turn is its
+    ``row`` and ``frames`` (a pair manifest's shard), or all rows of the
+    file when the record has neither (a per-turn sidecar), read by one
+    :func:`_read_rows` into an array of its own as the turn is parsed.
+    Only the file the last turn named is open, and no rows are kept, so a
+    stream of pairs holds the rows of the pairs it has not dropped, and
     nothing more. Errors get their line from :func:`_record`.
     """
 
@@ -550,30 +557,27 @@ def _pair_turns(pairs: Iterable[PreferencePair]) -> Iterator[Turn]:
 
 
 def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
-    """Write a pair manifest plus its feature shard (:func:`shard_path`).
-
-    The shard has the feature-file layout and holds every turn's frames in
-    manifest order: each pair's chosen turns, then its rejected ones. Each
-    turn record names the shard in ``features_path`` and its rows there in
-    ``row`` and ``frames``. Rewriting the same pairs produces
-    byte-identical files.
-
-    The shard is written and closed before the JSONL, each turn's rows
-    straight from its array, and each turn's ``row`` is a running sum of
-    frames, so no copy of all frames and no list of records is built.
-    Before writing anything, raises DUPLICATE_ID when two pairs share a
-    pair_id and SHAPE_MISMATCH when the turns' ``d_in`` differ.
+    """Write a pair manifest plus its feature shard (:func:`shard_path`),
+    the shard committed first, each by :func:`_replace_file`. The shard
+    holds every turn's frames in manifest order (each pair's chosen turns,
+    then its rejected ones), each straight from its array, and each turn
+    record names the shard and its rows, ``row`` a running sum of frames.
+    Rewriting the same pairs produces byte-identical files. Before writing
+    anything, raises DUPLICATE_ID when two pairs share a pair_id,
+    SHAPE_MISMATCH when the turns' ``d_in`` differ, and ValueError when a
+    turn's times break :func:`_check_times`.
     """
     seen: set[str] = set()
     for pair in pairs:
         _claim_id(seen, pair.pair_id, "pair_id")
+    for turn in _pair_turns(pairs):
+        _check_times(turn.start_s, turn.end_s, turn.duration_s)
     d_ins = {turn.d_in for turn in _pair_turns(pairs)}
     if len(d_ins) > 1:
         raise ShapeMismatchError(f"turn features have d_in {sorted(d_ins)}; a pair manifest's shard holds one d_in")
     shard = shard_path(path)
-    shard.parent.mkdir(parents=True, exist_ok=True)
     rows = sum(turn.n_frames for turn in _pair_turns(pairs))
-    _write_feature_file(shard, rows, d_ins.pop() if d_ins else 0, (turn.features for turn in _pair_turns(pairs)))
+    _replace_file(shard, _feature_chunks(rows, d_ins.pop() if d_ins else 0, (t.features for t in _pair_turns(pairs))))
     starts = itertools.accumulate((turn.n_frames for turn in _pair_turns(pairs)), initial=0)
     turns = (_turn_record(turn, shard.name, row) for turn, row in zip(_pair_turns(pairs), starts))
     write_jsonl(
@@ -615,21 +619,16 @@ def _pair_headers(records: Iterator[tuple[int, dict]]) -> Iterator[tuple[int, di
 
 def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
     """Yield the pairs of a pair manifest one at a time, in file order,
-    each validated before it is yielded.
+    each validated once before it is yielded: the episode rules here, the
+    pair rules by :class:`PreferencePair`.
 
     The manifest is opened by the call, so a missing file raises OSError
-    here; records are parsed as the pairs are consumed, so a bad record
-    raises, with its line number, when the iteration reaches it:
-    :class:`ManifestParseError` if it does not match the schema (a ``row``
-    or ``frames`` that is not a non-negative integer, ``frames`` >= 1,
-    included); :class:`FeatureIOError` for a feature file that cannot be
-    read or a row range past its end; :class:`DuplicateIdError` for a
-    pair_id seen on an earlier line; :class:`InvariantError`, with the
-    violation codes, if its episodes fail validation or its sides disagree
-    on turn count or tier. Each turn's rows are read as it is parsed (see
-    :class:`_FeatureFiles`) into an array of its own, so a dropped pair's
-    rows are freed, in either layout. Each pair is validated once: the
-    episode rules here, the pair rules by :class:`PreferencePair`.
+    here; a bad record raises, with its line number, when the iteration
+    reaches it: PARSE_ERROR if it does not match the schema, FEATURE_IO
+    for a feature file that cannot be read or a row range past its end,
+    DUPLICATE_ID for a pair_id seen on an earlier line, and INVARIANT_ERROR,
+    with the violation codes, for a pair that fails validation. A dropped
+    pair's rows are freed, as each turn's rows are an array of its own.
     """
     return _pairs(read_jsonl(path), _FeatureFiles(os.path.dirname(path)))
 
@@ -663,23 +662,24 @@ def read_pair_tiers(path: str | Path) -> dict[str, str]:
 
 
 def write_episodes(episodes: list[Episode], path: str | Path) -> None:
-    """Write an episode manifest (pipeline intermediate) plus sidecars.
-
-    Sidecars go to ``<stem>_features/`` next to the manifest, one file per
-    turn, named injectively from (episode_id, turn index); all of them are
-    written before the JSONL. Raises DUPLICATE_ID, before writing
-    anything, when two episodes share an episode_id.
+    """Write an episode manifest plus one sidecar per turn, named
+    injectively from (episode_id, turn index) in ``<manifest file
+    name>_features/`` beside it, all written in place before the JSONL.
+    Before writing anything, raises DUPLICATE_ID when two episodes share an
+    episode_id, and ValueError when a turn's times break :func:`_check_times`.
     """
     seen: set[str] = set()
     for ep in episodes:
         _claim_id(seen, ep.episode_id, "episode_id")
+        for turn in ep.turns:
+            _check_times(turn.start_s, turn.end_s, turn.duration_s)
     path = Path(path)
-    features_dir = f"{path.stem}_features"
+    features_dir = f"{path.name}_features"
     if any(ep.turns for ep in episodes):
         (path.parent / features_dir).mkdir(parents=True, exist_ok=True)
     for ep in episodes:
         for turn, rel in zip(ep.turns, _sidecar_paths(ep, features_dir)):
-            _write_feature_file(path.parent / rel, *turn.features.shape, [turn.features])
+            _write_sidecar(path.parent / rel, turn.features)
     # Record keys: episode_id, source_tier, metadata, turns.
     write_jsonl(
         (
@@ -695,13 +695,10 @@ def write_episodes(episodes: list[Episode], path: str | Path) -> None:
 
 
 def read_episodes(path: str | Path) -> list[Episode]:
-    """Read an episode manifest without validating structural rules.
-
-    Episode files are pipeline intermediates, so invalid episodes must be
-    representable here; run :func:`validate_episode` (or the structural
-    filter) downstream. An episode_id seen on an earlier line raises
-    DUPLICATE_ID with the line number.
-    """
+    """Read an episode manifest without validating structural rules: these
+    are pipeline intermediates, so invalid episodes must be representable
+    (run :func:`validate_episode` downstream). An episode_id seen on an
+    earlier line is DUPLICATE_ID with the line number."""
     episodes = []
     seen: set[str] = set()
     files = _FeatureFiles(os.path.dirname(path))
@@ -718,6 +715,9 @@ _SEGMENT_FIELDS = tuple(f.name for f in fields(Segment))
 
 
 def write_segments(manifest: SegmentManifest, path: str | Path) -> None:
+    """Write a raw segment manifest once every segment's times pass :func:`_check_times`."""
+    for seg in manifest.records:
+        _check_times(seg.start_s, seg.end_s)
     # Shallow records in field order: dataclasses.asdict deep-copies every field.
     write_jsonl(({k: getattr(seg, k) for k in _SEGMENT_FIELDS} for seg in manifest.records), path)
 

@@ -258,8 +258,16 @@ def report_csv(report: EvalReport) -> str:
         "overall_micro": report.overall_micro,
         "overall_macro": report.overall_macro,
     }
+    return _csv([columns.keys(), [format_percent(v) for v in columns.values()]])
+
+
+def agreement_csv(per_subset: list[AgreementRow], overall: AgreementRow) -> str:
+    """The agreement table: a row per subset, then the overall row."""
+    rows = [[r.subset_name, r.count, r.avg_margin, r.agree_rate, f"{r.se:.6f}"] for r in [*per_subset, overall]]
+    return _csv([["subset", "count", "avg_margin", "agree_rate", "se"], *rows])
+
+
+def _csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns.keys())
-    writer.writerow([format_percent(v) for v in columns.values()])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()

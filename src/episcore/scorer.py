@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodes import Criterion, Episode
+from .episodes import Criterion, Episode, _replace_file
 from .errors import CheckpointError, ShapeMismatchError
 
 POOLING_MODES = ("last", "mean", "attention")
@@ -453,11 +453,8 @@ _HEADER = struct.Struct("<QQQQQ")
 
 def save_checkpoint(path: str | Path, cfg: ScorerConfig, params: ScorerParams) -> None:
     check_shapes(cfg, params)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(CHECKPOINT_VERSION, cfg.d_in, cfg.d, cfg.head_hidden, _POOLING_CODE[cfg.pooling]))
-        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
+    header = _HEADER.pack(CHECKPOINT_VERSION, cfg.d_in, cfg.d, cfg.head_hidden, _POOLING_CODE[cfg.pooling])
+    _replace_file(path, [header, np.ascontiguousarray(params.flat, dtype="<f8")])
 
 
 def load_checkpoint(path: str | Path) -> tuple[ScorerConfig, ScorerParams]:

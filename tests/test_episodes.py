@@ -316,7 +316,7 @@ class TestPairManifest:
         path = tmp_path / "episodes.jsonl"
         with pytest.raises(DuplicateIdError):
             write_episodes([first, second], path)
-        assert not path.exists() and not (tmp_path / "episodes_features").exists()
+        assert not path.exists() and not (tmp_path / "episodes.jsonl_features").exists()
         write_episodes([first], path)
         line = path.read_text(encoding="utf-8")
         path.write_text(line + line, encoding="utf-8")
@@ -343,8 +343,8 @@ class TestPairManifest:
         monkeypatch.setattr(Path, "mkdir", lambda self, *a, **kw: made.append(self) or mkdir(self, *a, **kw))
         episodes_in = [make_episode(4, episode_id=f"ep-{i}") for i in range(5)]
         write_episodes(episodes_in, tmp_path / "episodes.jsonl")
-        assert made.count(tmp_path / "episodes_features") == 1 and len(made) <= 2  # the features dir, the manifest's
-        assert len(os.listdir(tmp_path / "episodes_features")) == 20
+        assert made.count(tmp_path / "episodes.jsonl_features") == 1 and len(made) <= 2  # features dir, manifest's
+        assert len(os.listdir(tmp_path / "episodes.jsonl_features")) == 20
         assert read_episodes(tmp_path / "episodes.jsonl") == episodes_in
 
     def test_plain_ids_keep_their_sidecar_names(self, tmp_path):
@@ -352,8 +352,17 @@ class TestPairManifest:
         path = tmp_path / "episodes.jsonl"
         write_episodes([make_episode(2, episode_id="ep-0_a.b")], path)
         rec = json.loads(path.read_text(encoding="utf-8"))
-        assert rec["turns"][1]["features_path"] == "episodes_features/ep-0_a.b.01.f32"
-        assert sorted(os.listdir(tmp_path / "episodes_features")) == ["ep-0_a.b.00.f32", "ep-0_a.b.01.f32"]
+        assert rec["turns"][1]["features_path"] == "episodes.jsonl_features/ep-0_a.b.01.f32"
+        assert sorted(os.listdir(tmp_path / "episodes.jsonl_features")) == ["ep-0_a.b.00.f32", "ep-0_a.b.01.f32"]
+
+    def test_manifests_that_share_a_stem_keep_their_own_sidecars(self, tmp_path):
+        first, second = make_episode(2, episode_id="e"), make_episode(2, episode_id="e")
+        first.turns[0].features[...] = 1.0
+        second.turns[0].features[...] = 2.0
+        write_episodes([first], tmp_path / "x.jsonl")
+        write_episodes([second], tmp_path / "x.json")
+        assert read_episodes(tmp_path / "x.jsonl") == [first]
+        assert read_episodes(tmp_path / "x.json") == [second]
 
 
 def _turn_records(path: Path) -> list[dict]:
@@ -556,7 +565,9 @@ class TestFeatureShard:
                 ep.episode_id = f"ep-{i}"
             write_episodes(episodes_in, path)
             assert read_episodes(path) == episodes_in
-        n_turns = len(os.listdir(tmp_path / "manifest_features"))
+        # The pre-shard pair layout named its sidecar directory from the stem.
+        features_dir = "manifest_features" if read == "iter_pairs" else "manifest.jsonl_features"
+        n_turns = len(os.listdir(tmp_path / features_dir))
         assert len(opened) == n_turns and max(most_open) == 1
         assert all(f.closed for f in opened)
 
