@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import __version__, config as configio, evaluation, gradcheck, pipeline, scorer, training
 from .episodes import (
-    _record, _replace_file, iter_pairs, read_episodes, read_pair_tiers, read_pairs, read_segments, write_episodes,
-    write_jsonl, write_pairs,
+    _read_text, _record, _replace_file, iter_pairs, read_episodes, read_pair_tiers, read_pairs, read_segments,
+    write_episodes, write_jsonl, write_pairs,
 )
 from .errors import EmptySetError, EpiscoreError, ManifestParseError
 
@@ -97,9 +98,7 @@ def cmd_pipeline_stratify(args) -> int:
     pairs = read_pairs(args.input)
     train_ids = frozenset()
     if args.train_ids:
-        train_ids = frozenset(
-            line.strip() for line in Path(args.train_ids).read_text(encoding="utf-8").splitlines() if line.strip()
-        )
+        train_ids = frozenset(line.strip() for line in _read_text(args.train_ids).splitlines() if line.strip())
     bench = pipeline.stratify_bench(pairs, cap=args.cap, seed=args.seed, train_ids=train_ids)
     out = _resolve(args.out_dir, args.out)
     write_pairs(bench, out)
@@ -192,13 +191,12 @@ def _eval(scores_path, pairs_path, out_dir: Path) -> list[evaluation.ScoredPair]
 
 def cmd_agreement(args) -> int:
     rows = []
-    with open(args.rows, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for cells in reader:
-            with _record(f"{args.rows} row", reader.line_num):
-                row = (cells["subset"], int(cells["count"]), float(cells["avg_margin"]), float(cells["agree_rate"]))
-                evaluation.AgreementRow(*row)  # range checks
-            rows.append(row)
+    reader = csv.DictReader(io.StringIO(_read_text(args.rows), newline=""))
+    for cells in reader:
+        with _record(f"{args.rows} row", reader.line_num):
+            row = (cells["subset"], int(cells["count"]), float(cells["avg_margin"]), float(cells["agree_rate"]))
+            evaluation.AgreementRow(*row)  # range checks
+        rows.append(row)
     try:
         per_subset, overall = evaluation.agreement_stats(rows)
     except ValueError as exc:  # the count-weighted overall row, e.g. a margin sum that overflows

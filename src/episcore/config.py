@@ -14,8 +14,9 @@ the dataclass's own. Vector values are comma-separated floats; ranges are
     turns = 2,6
 
 An unknown key, a malformed line or a bad value is a PARSE_ERROR with its
-line number. The seed is not a config key: it comes only from ``--seed``
-(or ``$EPISCORE_SEED``).
+line number, and a file that is not UTF-8 a PARSE_ERROR naming it. The
+seed is not a config key: it comes only from ``--seed`` (or
+``$EPISCORE_SEED``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .episodes import _read_text
 from .errors import ManifestParseError
 
 CHANNEL_OFFSET_PREFIX = "channel_offset."
@@ -61,7 +63,7 @@ def load(path: str | Path | None, *classes: type, **fixed) -> tuple:
     hints = {}
     for cls in classes:
         hints.update(typing.get_type_hints(cls))
-    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    lines = _read_text(path).splitlines() if path else []
     values: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -29,7 +29,7 @@ import os
 import struct
 from collections.abc import Iterable, Iterator
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -201,14 +201,20 @@ class Segment:
 
 @dataclass
 class SegmentManifest:
-    """Ordered raw segments; the episode-construction pipeline's input."""
+    """Ordered raw segments, the pipeline's input; each ``features_path`` is relative to ``base_dir``."""
 
     records: list[Segment]
+    base_dir: str = ""
 
     def __post_init__(self):
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.start_s < prev.start_s:
-                raise ValueError("segment records must be sorted by start_s")
+        _check_start_order(self.records)
+
+
+def _check_start_order(records: list[Segment]) -> None:
+    """The order rule of segment manifests: no record starts before the one above it. ValueError otherwise."""
+    for prev, seg in zip(records, records[1:]):
+        if seg.start_s < prev.start_s:
+            raise ValueError(f"segment records must be sorted by start_s; {seg.start_s} follows {prev.start_s}")
 
 
 def validate_episode(e: Episode) -> list[str]:
@@ -381,8 +387,9 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)  # NaN, Infinity, -
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line; a line that
-    is not a strict JSON object raises PARSE_ERROR with its line number.
+    """Yield ``(line number, object)`` for each non-blank line (LF or CRLF
+    ends one); a line that is not UTF-8 or not a strict JSON object raises
+    PARSE_ERROR with its line number.
 
     The file is opened by the call, not at the first record, so a missing
     file raises OSError here; it is closed when the records run out or the
@@ -393,10 +400,13 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def _jsonl_records(path: str | Path) -> Iterator:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         yield None
         for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
+            try:
+                raw = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ManifestParseError(f"not UTF-8: {exc}", line=lineno) from exc
             if not raw:
                 continue
             try:
@@ -440,6 +450,14 @@ def _record(kind: str, line: int):
         raise ManifestParseError(f"{kind} missing key {exc}", line=line) from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ManifestParseError(f"bad {kind}: {exc}", line=line) from exc
+
+
+def _read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; any other bytes are PARSE_ERROR naming the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestParseError(f"{path} is not UTF-8: {exc}") from exc
 
 
 def _claim_id(seen: set[str], owner_id: str, kind: str) -> None:
@@ -489,12 +507,16 @@ class _FeatureFiles:
     Only the file the last turn named is open, and no rows are kept, so a
     stream of pairs holds the rows of the pairs it has not dropped, and
     nothing more. Errors get their line from :func:`_record`.
+
+    Row ranges tile their file: each starts where the last one in that file
+    ended (at 0 for the first), and the last ends at its end (:meth:`tiled`).
     """
 
     def __init__(self, base_dir: str = ""):
         self.base_dir = base_dir
         self.path: str | None = None  # the file the last turn named
         self.file: tuple | None = None  # (open file, rows, d_in) of self.path
+        self.ends: dict[str, tuple[int, int]] = {}  # path -> (end of its last row range, its rows)
 
     def rows(self, path: str, row: int | None = None, frames: int | None = None) -> np.ndarray:
         path = os.path.join(self.base_dir, path)
@@ -510,7 +532,22 @@ class _FeatureFiles:
             row, frames = 0, n_rows
         elif row + frames > n_rows:
             raise FeatureIOError(f"feature file {path}: rows [{row}, {row + frames}) past its {n_rows} rows")
+        else:
+            end, _ = self.ends.get(path, (0, n_rows))
+            if row != end:
+                raise FeatureIOError(f"feature file {path}: a turn starts at row {row}, not at row {end}")
+            self.ends[path] = (row + frames, n_rows)
         return _read_rows(fh, path, row, frames, d_in)
+
+    def tiled(self, records: Iterator[tuple[int, dict]]) -> Iterator[tuple[int, dict]]:
+        """Yield ``records``; once they run out, a file whose row ranges end
+        before its last row is FEATURE_IO at the last record's line."""
+        line = None
+        for line, rec in records:
+            yield line, rec
+        for path, (end, n_rows) in self.ends.items():
+            if end != n_rows:
+                raise FeatureIOError(f"feature file {path}: its turns end at row {end} of its {n_rows} rows", line)
 
     def close(self) -> None:
         """Close the open file."""
@@ -625,17 +662,18 @@ def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
     The manifest is opened by the call, so a missing file raises OSError
     here; a bad record raises, with its line number, when the iteration
     reaches it: PARSE_ERROR if it does not match the schema, FEATURE_IO
-    for a feature file that cannot be read or a row range past its end,
-    DUPLICATE_ID for a pair_id seen on an earlier line, and INVARIANT_ERROR,
-    with the violation codes, for a pair that fails validation. A dropped
-    pair's rows are freed, as each turn's rows are an array of its own.
+    for a feature file that cannot be read or row ranges that do not tile
+    it (:class:`_FeatureFiles`), DUPLICATE_ID for a pair_id seen on an
+    earlier line, and INVARIANT_ERROR, with the violation codes, for a pair
+    that fails validation. A dropped pair's rows are freed, as each turn's
+    rows are an array of its own.
     """
     return _pairs(read_jsonl(path), _FeatureFiles(os.path.dirname(path)))
 
 
 def _pairs(records: Iterator[tuple[int, dict]], files: _FeatureFiles) -> Iterator[PreferencePair]:
     with closing(files):
-        for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(records):
+        for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(files.tiled(records)):
             with _record("pair record", lineno):
                 chosen = _parse_episode(rec["chosen"], files, source_tier)
                 rejected = _parse_episode(rec["rejected"], files, source_tier)
@@ -665,6 +703,7 @@ def write_episodes(episodes: list[Episode], path: str | Path) -> None:
     """Write an episode manifest plus one sidecar per turn, named
     injectively from (episode_id, turn index) in ``<manifest file
     name>_features/`` beside it, all written in place before the JSONL.
+    Once the JSONL is committed, every other file in that directory goes.
     Before writing anything, raises DUPLICATE_ID when two episodes share an
     episode_id, and ValueError when a turn's times break :func:`_check_times`.
     """
@@ -675,10 +714,11 @@ def write_episodes(episodes: list[Episode], path: str | Path) -> None:
             _check_times(turn.start_s, turn.end_s, turn.duration_s)
     path = Path(path)
     features_dir = f"{path.name}_features"
+    sidecars = [_sidecar_paths(ep, features_dir) for ep in episodes]
     if any(ep.turns for ep in episodes):
         (path.parent / features_dir).mkdir(parents=True, exist_ok=True)
-    for ep in episodes:
-        for turn, rel in zip(ep.turns, _sidecar_paths(ep, features_dir)):
+    for ep, rels in zip(episodes, sidecars):
+        for turn, rel in zip(ep.turns, rels):
             _write_sidecar(path.parent / rel, turn.features)
     # Record keys: episode_id, source_tier, metadata, turns.
     write_jsonl(
@@ -686,12 +726,18 @@ def write_episodes(episodes: list[Episode], path: str | Path) -> None:
             {
                 "episode_id": ep.episode_id,
                 "source_tier": ep.source_tier,
-                **_episode_record(ep, list(map(_turn_record, ep.turns, _sidecar_paths(ep, features_dir)))),
+                **_episode_record(ep, list(map(_turn_record, ep.turns, rels))),
             }
-            for ep in episodes
+            for ep, rels in zip(episodes, sidecars)
         ),
         path,
     )
+    named = {rel for rels in sidecars for rel in rels}
+    if (path.parent / features_dir).is_dir():
+        with os.scandir(path.parent / features_dir) as entries:
+            stale = [e.path for e in entries if f"{features_dir}/{e.name}" not in named and not e.is_dir()]
+        for file in stale:
+            os.unlink(file)
 
 
 def read_episodes(path: str | Path) -> list[Episode]:
@@ -703,7 +749,7 @@ def read_episodes(path: str | Path) -> list[Episode]:
     seen: set[str] = set()
     files = _FeatureFiles(os.path.dirname(path))
     with closing(files):
-        for lineno, rec in read_jsonl(path):
+        for lineno, rec in files.tiled(read_jsonl(path)):
             with _record("episode record", lineno):
                 ep = _parse_episode(rec, files, _get(rec, "source_tier", str))
                 _claim_id(seen, ep.episode_id, "episode_id")
@@ -711,32 +757,25 @@ def read_episodes(path: str | Path) -> list[Episode]:
     return episodes
 
 
-_SEGMENT_FIELDS = tuple(f.name for f in fields(Segment))
+# Segment-record fields in record order, with their JSON types.
+_SEGMENT_FIELDS = {"speaker_id": str, "start_s": float, "end_s": float, "transcript": str, "features_path": str}
 
 
 def write_segments(manifest: SegmentManifest, path: str | Path) -> None:
-    """Write a raw segment manifest once every segment's times pass :func:`_check_times`."""
+    """Write a raw segment manifest once its records pass :func:`_check_times` and :func:`_check_start_order`."""
     for seg in manifest.records:
         _check_times(seg.start_s, seg.end_s)
+    _check_start_order(manifest.records)
     # Shallow records in field order: dataclasses.asdict deep-copies every field.
     write_jsonl(({k: getattr(seg, k) for k in _SEGMENT_FIELDS} for seg in manifest.records), path)
 
 
 def read_segments(path: str | Path) -> SegmentManifest:
-    """Read a raw segment manifest; feature paths join onto its directory.
-    The first record that starts before its predecessor is PARSE_ERROR."""
-    base_dir = os.path.dirname(path)
+    """Read a raw segment manifest, its directory as ``base_dir``. The first
+    record that starts before its predecessor is PARSE_ERROR."""
     records: list[Segment] = []
     for lineno, rec in read_jsonl(path):
         with _record("segment record", lineno):
-            seg = Segment(
-                speaker_id=_get(rec, "speaker_id", str),
-                start_s=_get(rec, "start_s", float),
-                end_s=_get(rec, "end_s", float),
-                transcript=_get(rec, "transcript", str),
-                features_path=os.path.join(base_dir, _get(rec, "features_path", str)),
-            )
-            if records and seg.start_s < records[-1].start_s:
-                raise ValueError("segment records must be sorted by start_s")
-        records.append(seg)
-    return SegmentManifest(records)
+            records.append(Segment(**{k: _get(rec, k, kind) for k, kind in _SEGMENT_FIELDS.items()}))
+            _check_start_order(records[-2:])
+    return SegmentManifest(records, os.path.dirname(path))

@@ -225,6 +225,10 @@ _SCORE_FIELDS = {"pair_id": str, "r_chosen": float, "r_rejected": float, "subset
 
 
 def write_scores(scored: list[ScoredPair], path: str | Path) -> None:
+    """Write a score file; a ``pair_id`` given twice is DUPLICATE_ID before anything is written."""
+    seen: set[str] = set()
+    for s in scored:
+        _claim_id(seen, s.pair_id, "pair_id")
     # Shallow records: dataclasses.asdict deep-copies every field, 30x slower.
     write_jsonl(({k: getattr(s, k) for k in _SCORE_FIELDS} for s in scored), path)
 

@@ -18,6 +18,7 @@ noise, the final-turn frame means differ by exactly the signature.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -101,7 +102,7 @@ def group_segments(
     longer than the duration cap cannot be split and is dropped.
 
     Each kept segment's turn reads its own array of its feature file's
-    rows; an empty file is FEATURE_IO.
+    rows (its path under ``manifest.base_dir``); an empty file is FEATURE_IO.
     """
     if not manifest.records:
         raise EmptyManifestError("segment manifest has no records")
@@ -147,11 +148,10 @@ def group_segments(
             continue
         turns = []
         for seg in kept:
-            features = read_features(seg.features_path)
+            features = read_features(path := os.path.join(manifest.base_dir, seg.features_path))
             if not features.size:
                 raise FeatureIOError(
-                    f"feature file {seg.features_path} of the segment at start_s {seg.start_s} "
-                    f"is empty: shape {features.shape}"
+                    f"feature file {path} of the segment at start_s {seg.start_s} is empty: shape {features.shape}"
                 )
             turns.append(Turn(seg.speaker_id, seg.transcript, seg.duration_s, features, seg.start_s, seg.end_s))
         episodes.append(Episode(f"grp-{counter:04d}", turns, source_tier))

@@ -451,15 +451,22 @@ CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct("<QQQQQ")
 
 
+def check_storable(cfg: ScorerConfig) -> None:
+    """BAD_CHECKPOINT unless ``cfg`` is what a checkpoint means: it stores no ``max_frames_per_turn``, so 60."""
+    if cfg.max_frames_per_turn != ScorerConfig.max_frames_per_turn:
+        raise CheckpointError(f"a checkpoint stores only max_frames_per_turn 60, not {cfg.max_frames_per_turn}")
+
+
 def save_checkpoint(path: str | Path, cfg: ScorerConfig, params: ScorerParams) -> None:
+    check_storable(cfg)
     check_shapes(cfg, params)
     header = _HEADER.pack(CHECKPOINT_VERSION, cfg.d_in, cfg.d, cfg.head_hidden, _POOLING_CODE[cfg.pooling])
     _replace_file(path, [header, np.ascontiguousarray(params.flat, dtype="<f8")])
 
 
 def load_checkpoint(path: str | Path) -> tuple[ScorerConfig, ScorerParams]:
-    """Load a checkpoint; max_frames_per_turn is not serialized and keeps
-    its default. Every malformed file raises BAD_CHECKPOINT."""
+    """Load a checkpoint; max_frames_per_turn is not serialized and is
+    the default (:func:`check_storable`). Every malformed file raises BAD_CHECKPOINT."""
     path = Path(path)
     try:
         raw = path.read_bytes()

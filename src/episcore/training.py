@@ -313,8 +313,11 @@ def train(
     the ones with minimal validation loss. When ``checkpoint_dir`` is
     given, a rolling window of the 20 most recent eval-point checkpoints
     is kept on disk, and at the end every other ``step-*.ckpt`` there (an
-    earlier run's) is removed.
+    earlier run's) is removed; a ``scorer_cfg`` that a checkpoint cannot
+    store is BAD_CHECKPOINT before anything is read or written.
     """
+    if checkpoint_dir is not None:
+        scorer.check_storable(scorer_cfg)
     train_table = pair_table(pairs, scorer_cfg)
     val_table = pair_table(val_pairs, scorer_cfg)
     n = len(train_table) // 2

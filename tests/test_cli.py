@@ -230,8 +230,10 @@ class TestTrainScoreEval:
 
     def test_eval_duplicate_score_id_fails(self, tmp_path, capsys):
         scored = [ScoredPair(f"p{i}", 1.0, 0.0, tier, "modality") for i, tier in enumerate(SOURCE_TIERS)]
-        write_scores(scored + scored[:1], tmp_path / "scores.jsonl")
-        assert run("eval", "--scores", tmp_path / "scores.jsonl", "--out-dir", tmp_path) == 1
+        path = tmp_path / "scores.jsonl"
+        write_scores(scored, path)  # which refuses a duplicate itself, so the first line is repeated by hand
+        path.write_bytes(path.read_bytes() + path.read_bytes().splitlines(keepends=True)[0])
+        assert run("eval", "--scores", path, "--out-dir", tmp_path) == 1
         assert "error[DUPLICATE_ID]: line 5: duplicate pair_id 'p0'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
@@ -318,6 +320,26 @@ def test_missing_input_file_exits_with_io_error(tmp_path, capsys, argv):
     assert run(*argv, "--out-dir", tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[IO_ERROR]: ") and str(missing) in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["eval", "--scores", "{bad}"], False),
+        (["agreement", "--rows", "{bad}"], True),
+        (["synth", "--config", "{bad}", "--n", "4", "--out", "p.jsonl"], True),
+        (["pipeline", "stratify", "--in", "{pairs}", "--train-ids", "{bad}", "--out", "b.jsonl"], True),
+    ],
+    ids=["eval-scores", "agreement-rows", "synth-config", "stratify-train-ids"],
+)
+def test_an_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv, named):
+    bad, pairs = tmp_path / "bad.txt", tmp_path / "pairs.jsonl"
+    bad.write_bytes(bytes([0xFF]) + b"\n")
+    write_pairs([make_pair()], pairs)
+    assert run(*[a.format(bad=bad, pairs=pairs) for a in argv], "--out-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[PARSE_ERROR]: ") and "not UTF-8" in err
+    assert (f"{bad} is not UTF-8" if named else "line 1: not UTF-8") in err
 
 
 @pytest.mark.parametrize(
@@ -619,6 +641,14 @@ class TestConfigFiles:
         assert run("synth", "--config", cfg, "--n", 3, "--out", "p.jsonl", "--out-dir", tmp_path) == 1
         assert "error[PARSE_ERROR]: SynthConfig: d_in must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "p.jsonl").exists()
+
+    def test_a_train_config_that_a_checkpoint_cannot_store_writes_nothing(self, synth_manifest, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("max_frames_per_turn = 2\ntotal_steps = 3\n")
+        out = tmp_path / "run"
+        assert run("train", "--pairs", synth_manifest, "--config", cfg, "--out-dir", out) == 1
+        assert "error[BAD_CHECKPOINT]: " in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run-manifest.json"]
 
     def test_words_per_turn_is_a_synth_key(self, tmp_path):
         cfg = tmp_path / "synth.cfg"

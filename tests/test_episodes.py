@@ -39,11 +39,14 @@ from episcore.episodes import (
     Segment,
     SegmentManifest,
     read_features,
+    read_pair_tiers,
     shard_path,
     write_features,
     write_jsonl,
 )
-from episcore.errors import DuplicateIdError, FeatureIOError, InvariantError, ManifestParseError, ShapeMismatchError
+from episcore.errors import DuplicateIdError, EpiscoreError, FeatureIOError, InvariantError, ManifestParseError
+from episcore.errors import ShapeMismatchError
+from episcore.pipeline import GroupingConfig, group_segments
 
 from conftest import D_IN, make_episode, make_pair, make_turn
 
@@ -364,6 +367,22 @@ class TestPairManifest:
         assert read_episodes(tmp_path / "x.jsonl") == [first]
         assert read_episodes(tmp_path / "x.json") == [second]
 
+    def test_a_rewrite_leaves_only_the_sidecars_its_manifest_names(self, tmp_path):
+        a, b = make_episode(2, episode_id="a"), make_episode(4, episode_id="b")
+        path, features = tmp_path / "episodes.jsonl", tmp_path / "episodes.jsonl_features"
+        write_episodes([a, b], path)
+        assert len(os.listdir(features)) == 6
+        (features / "kept-dir").mkdir()
+        old_layout = tmp_path / "episodes_features"  # a directory named from the stem is not this manifest's
+        old_layout.mkdir()
+        (old_layout / "b.00.f32").write_bytes(b"")
+        write_episodes([a], path)
+        assert sorted(os.listdir(features)) == ["a.00.f32", "a.01.f32", "kept-dir"]
+        assert os.listdir(old_layout) == ["b.00.f32"]
+        assert read_episodes(path) == [a]
+        write_episodes([], path)
+        assert os.listdir(features) == ["kept-dir"] and read_episodes(path) == []
+
 
 def _turn_records(path: Path) -> list[dict]:
     return [t for line in path.read_text().splitlines() for side in ("chosen", "rejected")
@@ -578,14 +597,31 @@ class TestFeatureShard:
         assert all(f.flags.writeable and f.dtype == np.float32 for f in feats)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(feats) for b in feats[i + 1 :])
 
-    def test_overlapping_ranges_never_share_memory(self, tmp_path):
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["overlap", "gap"])
+    def test_row_ranges_that_do_not_tile_the_shard_are_feature_io(self, tmp_path, shift):
         path = tmp_path / "pairs.jsonl"
+        write_pairs(self._pairs(), path)
+        row = _turn_records(path)[4]["row"]  # the first turn of line 2
+        _rewrite_first_turn(path, 2, row=row + shift)
+        with pytest.raises(FeatureIOError) as exc:
+            read_pairs(path)
+        assert exc.value.line == 2
+        assert f"{shard_path(path)}: a turn starts at row {row + shift}, not at row {row}" in str(exc.value)
+
+    def test_a_manifest_cut_at_a_line_boundary_is_feature_io_at_its_last_line(self, tmp_path):
+        path, cut = tmp_path / "pairs.jsonl", tmp_path / "cut.jsonl"
         pairs = self._pairs()
         write_pairs(pairs, path)
-        _rewrite_first_turn(path, 2, row=0)  # the first turn of line 2 now names line 1's first rows
-        back = read_pairs(path)
-        first, again = back[0].chosen.turns[0].features, back[1].chosen.turns[0].features
-        assert np.array_equal(first, again) and not np.shares_memory(first, again)
+        cut.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:2]))
+        stream = iter_pairs(cut)
+        assert [next(stream), next(stream)] == pairs[:2]
+        with pytest.raises(FeatureIOError) as exc:
+            next(stream)
+        rows = sum(t.n_frames for p in pairs for t in p.chosen.turns + p.rejected.turns)
+        read = sum(t.n_frames for p in pairs[:2] for t in p.chosen.turns + p.rejected.turns)
+        assert exc.value.line == 2
+        assert f"{shard_path(path)}: its turns end at row {read} of its {rows} rows" in str(exc.value)
+        assert list(read_pair_tiers(cut)) == ["p0", "p1"]  # the header reader reads no feature file
 
     def test_per_turn_sidecar_pair_manifest_still_reads(self, tmp_path):
         pairs = self._pairs()
@@ -749,6 +785,52 @@ class TestJsonlWrites:
         assert os.stat(tmp_path / "out.jsonl").st_mode == os.stat(tmp_path / "plain.jsonl").st_mode
 
 
+class TestSegmentManifest:
+    def test_a_manifest_written_beside_the_one_it_was_read_from_reads_back_equal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative paths, as a command line gives them
+        write_features("a/f/s0.f32", np.zeros((2, D_IN), dtype=np.float32))
+        segments = [Segment("spk-a", 0.0, 1.0, "yeah", "f/s0.f32"), Segment("spk-b", 1.0, 2.0, "ça va", "f/s0.f32")]
+        write_segments(SegmentManifest(segments), "a/segments.jsonl")
+        manifest = read_segments("a/segments.jsonl")
+        assert manifest == SegmentManifest(segments, base_dir="a")  # features_path as written
+        write_segments(manifest, "a/again.jsonl")
+        assert Path("a/again.jsonl").read_bytes() == Path("a/segments.jsonl").read_bytes()
+        again = read_segments("a/again.jsonl")
+        assert again == manifest
+        (episode,) = group_segments(again, GroupingConfig())
+        assert [t.n_frames for t in episode.turns] == [2, 2]
+
+    def test_unsorted_records_are_refused_before_anything_is_written(self, tmp_path):
+        manifest = SegmentManifest([Segment("a", 0.0, 1.0, "x", "s.f32"), Segment("b", 2.0, 3.0, "y", "s.f32")])
+        manifest.records.reverse()
+        with pytest.raises(ValueError, match="sorted by start_s; 0.0 follows 2.0"):
+            write_segments(manifest, tmp_path / "segments.jsonl")
+        assert not any(tmp_path.iterdir())
+        with pytest.raises(ValueError, match="sorted by start_s; 0.0 follows 2.0"):
+            SegmentManifest(manifest.records)
+
+
+class TestJsonlText:
+    def test_a_line_that_is_not_utf8_is_a_parse_error_with_its_number(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs([make_pair("p0"), make_pair("p1")], path)
+        first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + second.replace(b'"p1"', b'"p' + bytes([0xFF]) + b'1"'))
+        stream = iter_pairs(path)
+        assert next(stream).pair_id == "p0"
+        with pytest.raises(ManifestParseError, match="not UTF-8") as exc:
+            next(stream)
+        assert exc.value.line == 2
+
+    def test_crlf_line_ends_read_as_lf_ones(self, tmp_path):
+        pairs = [make_pair("p0"), make_pair("p1", n_turns=4)]
+        pairs[1].chosen.turns[0].transcript = "ça va\r\n"
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(pairs, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_pairs(path) == pairs
+
+
 # Ids and transcripts mix path separators, the escape character, whitespace
 # and non-ASCII text, including strings that escape to each other's names.
 _ID_TEXT = st.text(alphabet=st.sampled_from(list("aZ0/_%\\.2F5C \t\né中😀")), max_size=10)
@@ -850,3 +932,32 @@ def test_leaf_of_another_json_type_fails_with_parse_error(written_manifests, dat
     with pytest.raises(ManifestParseError) as info:
         readers[name](edited)
     assert info.value.line == 1
+
+
+@pytest.fixture(scope="module")
+def cut_source(tmp_path_factory):
+    """A written pair manifest of three pairs, one transcript non-ASCII: (directory, pairs, JSONL bytes)."""
+    root = tmp_path_factory.mktemp("cut")
+    pairs = [make_pair(f"p{i}", n_turns=2 + 2 * (i % 2)) for i in range(3)]
+    pairs[1].rejected.turns[2].transcript = "ça va, 好的"
+    write_pairs(pairs, root / "pairs.jsonl")
+    return root, pairs, (root / "pairs.jsonl").read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_proper_prefix_of_a_pair_manifest_is_a_coded_error(cut_source, data):
+    root, pairs, raw = cut_source
+    line_ends = [i + 1 for i, byte in enumerate(raw[:-1]) if byte == ord("\n")]
+    in_a_character = [i for i in range(1, len(raw)) if raw[i] & 0xC0 == 0x80]  # before a UTF-8 continuation byte
+    end = data.draw(
+        st.one_of(st.sampled_from(line_ends), st.sampled_from(in_a_character), st.integers(1, len(raw) - 1))
+    )
+    cut = root / "cut.jsonl"  # beside the shard its records name
+    cut.write_bytes(raw[:end])
+    if end == len(raw) - 1:  # only the final newline dropped
+        assert list(iter_pairs(cut)) == pairs
+        return
+    with pytest.raises(EpiscoreError) as exc:
+        list(iter_pairs(cut))
+    assert exc.value.code in ("PARSE_ERROR", "FEATURE_IO") and exc.value.line is not None

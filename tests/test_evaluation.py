@@ -16,7 +16,7 @@ from episcore import (
     distribution_stats,
     pairwise_accuracy,
 )
-from episcore.errors import EmptySetError, MissingSubsetError
+from episcore.errors import DuplicateIdError, EmptySetError, MissingSubsetError
 from episcore.evaluation import format_percent, read_scores, report_csv, write_scores
 
 
@@ -215,6 +215,12 @@ class TestReport:
         path = tmp_path / "scores.jsonl"
         write_scores(scored, path)
         assert read_scores(path) == scored
+
+    def test_score_file_with_a_pair_id_twice_is_refused_before_writing(self, tmp_path):
+        scored = self._scored_all_subsets()
+        with pytest.raises(DuplicateIdError, match="duplicate pair_id 'wild-0'"):
+            write_scores(scored + scored[:1], tmp_path / "scores.jsonl")
+        assert not any(tmp_path.iterdir())
 
     def test_csv_row_formatting(self):
         # A score file whose per-subset correct counts realize the first

@@ -203,6 +203,12 @@ class TestCheckpoint:
         for name, tensor in params2.tensors():
             assert np.shares_memory(tensor, params2.flat) and tensor.shape == getattr(params, name).shape
 
+    def test_a_config_that_version_1_cannot_store_is_refused_before_writing(self, tmp_path):
+        cfg = ScorerConfig(d_in=8, max_frames_per_turn=2)
+        with pytest.raises(CheckpointError, match="max_frames_per_turn 60, not 2"):
+            save_checkpoint(tmp_path / "model.ckpt", cfg, init_params(cfg, seed=0))
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.xfail(strict=True, reason="checkpoint version 1 does not store max_frames_per_turn")
     @pytest.mark.parametrize("pooling", sc.POOLING_MODES)
     def test_round_trip_keeps_max_frames_per_turn(self, tmp_path, pooling):

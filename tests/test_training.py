@@ -22,7 +22,7 @@ from episcore import (
     total_loss,
     train,
 )
-from episcore.errors import EmptyBatchError
+from episcore.errors import CheckpointError, EmptyBatchError
 from episcore.gradcheck import relative_error
 from episcore.training import AdamState, evaluate_loss, pair_batch, pair_chunks, pair_table, score_pairs, warmup_steps
 
@@ -259,6 +259,15 @@ class TestTrainLoop:
               checkpoint_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"] + [f"step-{s:06d}.ckpt" for s in (2, 4, 6, 8)]
 
+    def test_a_config_that_a_checkpoint_cannot_store_fails_before_reading_or_writing(self, tmp_path):
+        scfg = ScorerConfig(d_in=8, d=4, head_hidden=4, max_frames_per_turn=5)
+        read = []
+        pairs = (read.append(p) or p for p in self._tiny_sets()[0])
+        with pytest.raises(CheckpointError, match="max_frames_per_turn"):
+            train(pairs, [], scfg, TrainConfig(total_steps=3, batch_size=8), checkpoint_dir=tmp_path / "ckpt")
+        assert read == [] and not any(tmp_path.iterdir())
+        assert train(self._tiny_sets()[0], [], scfg, TrainConfig(total_steps=3, batch_size=8)).best_step == 3
+
     def test_learnability_smoke(self):
         cfg = synth_config(seed=41)
         train_pairs = synth_pairs(cfg, 200, split="train")
@@ -286,7 +295,7 @@ class TestTrainLoop:
 
     def test_generators_give_the_results_of_lists(self, tmp_path):
         train_pairs, val_pairs = self._tiny_sets()
-        scfg = ScorerConfig(d_in=8, d=8, head_hidden=8, pooling="attention", max_frames_per_turn=5)
+        scfg = ScorerConfig(d_in=8, d=8, head_hidden=8, pooling="attention")  # checkpoints store only the default frames
         tcfg = TrainConfig(total_steps=30, eval_every=7, batch_size=16, seed=5)
         a = train(train_pairs, val_pairs, scfg, tcfg, checkpoint_dir=tmp_path / "a")
         b = train((p for p in train_pairs), (p for p in val_pairs), scfg, tcfg, checkpoint_dir=tmp_path / "b")
@@ -294,6 +303,7 @@ class TestTrainLoop:
         assert a.best_params.flat.tobytes() == b.best_params.flat.tobytes()
         for ckpt in (tmp_path / "a").iterdir():
             assert ckpt.read_bytes() == (tmp_path / "b" / ckpt.name).read_bytes()
+        scfg = dataclasses.replace(scfg, max_frames_per_turn=5)  # chunks of truncated turns
         from_list, from_stream = list(pair_chunks(train_pairs, scfg)), list(pair_chunks(iter(train_pairs), scfg))
         assert len(from_list) == len(from_stream) == 2  # 48 pairs: a full chunk and a partial one
         for listed, streamed in zip(from_list, from_stream):
