@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__, config as configio, evaluation, gradcheck, pipeline, scorer, training
 from .episodes import (
-    _read_text, _record, _replace_file, iter_pairs, read_episodes, read_pair_tiers, read_pairs, read_segments,
-    write_episodes, write_jsonl, write_pairs,
+    SPLITS, _read_text, _record, _replace_file, iter_pairs, read_episodes, read_pair_tiers, read_pairs,
+    read_segments, write_episodes, write_jsonl, write_pairs,
 )
 from .errors import EmptySetError, EpiscoreError, ManifestParseError
 
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key-value synthesis config file")
     p.add_argument("--n", type=_positive_int, required=True, help="number of pairs")
     p.add_argument("--out", required=True, help="output pair manifest (JSONL)")
-    p.add_argument("--split", default="train", choices=("train", "val", "bench"))
+    p.add_argument("--split", default="train", choices=SPLITS)
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 

@@ -324,7 +324,7 @@ def _open_features(path: str | Path):
             if size < _SIDECAR_HEADER.size:
                 raise FeatureIOError(f"feature sidecar {path} is truncated (no header)")
             n_frames, d_in = _SIDECAR_HEADER.unpack(fh.read(_SIDECAR_HEADER.size))
-            expected = _SIDECAR_HEADER.size + n_frames * d_in * 4
+            expected = _SIDECAR_HEADER.size + n_frames * d_in * _FRAME_DTYPE.itemsize
             if size != expected:
                 raise FeatureIOError(
                     f"feature sidecar {path}: expected {expected} bytes for ({n_frames}, {d_in}), got {size}"
@@ -354,7 +354,7 @@ def _read_rows(fh, path: str | Path, row: int, frames: int, d_in: int) -> np.nda
     comes back short is FEATURE_IO. Rows leave a feature file only here."""
     out = np.empty((frames, d_in), dtype=_FRAME_DTYPE)
     try:
-        fh.seek(_SIDECAR_HEADER.size + row * d_in * 4)
+        fh.seek(_SIDECAR_HEADER.size + row * d_in * _FRAME_DTYPE.itemsize)
         got = fh.readinto(out)
     except OSError as exc:
         raise FeatureIOError(f"cannot read feature sidecar {path}: {exc}") from exc
@@ -510,10 +510,13 @@ class _FeatureFiles:
 
     Row ranges tile their file: each starts where the last one in that file
     ended (at 0 for the first), and the last ends at its end (:meth:`tiled`).
+    A pair manifest's own ``shard`` (a name in ``base_dir``) that no row
+    range names must hold no rows.
     """
 
-    def __init__(self, base_dir: str = ""):
+    def __init__(self, base_dir: str = "", shard: str | None = None):
         self.base_dir = base_dir
+        self.shard = shard and os.path.normpath(os.path.join(base_dir, shard))
         self.path: str | None = None  # the file the last turn named
         self.file: tuple | None = None  # (open file, rows, d_in) of self.path
         self.ends: dict[str, tuple[int, int]] = {}  # path -> (end of its last row range, its rows)
@@ -541,13 +544,19 @@ class _FeatureFiles:
 
     def tiled(self, records: Iterator[tuple[int, dict]]) -> Iterator[tuple[int, dict]]:
         """Yield ``records``; once they run out, a file whose row ranges end
-        before its last row is FEATURE_IO at the last record's line."""
+        before its last row, or an own shard with rows that no range names,
+        is FEATURE_IO at the last record's line."""
         line = None
         for line, rec in records:
             yield line, rec
         for path, (end, n_rows) in self.ends.items():
             if end != n_rows:
                 raise FeatureIOError(f"feature file {path}: its turns end at row {end} of its {n_rows} rows", line)
+        if self.shard and self.shard not in map(os.path.normpath, self.ends) and os.path.exists(self.shard):
+            fh, n_rows, _ = _open_features(self.shard)
+            fh.close()
+            if n_rows:
+                raise FeatureIOError(f"feature file {self.shard}: no turn names any of its {n_rows} rows", line)
 
     def close(self) -> None:
         """Close the open file."""
@@ -588,11 +597,6 @@ def shard_path(manifest: str | Path) -> Path:
     return manifest.with_name(manifest.name + ".f32")
 
 
-def _pair_turns(pairs: Iterable[PreferencePair]) -> Iterator[Turn]:
-    """Every turn of ``pairs`` in manifest order: each pair's chosen turns, then its rejected ones."""
-    return (turn for pair in pairs for turn in (*pair.chosen.turns, *pair.rejected.turns))
-
-
 def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
     """Write a pair manifest plus its feature shard (:func:`shard_path`),
     the shard committed first, each by :func:`_replace_file`. The shard
@@ -607,16 +611,16 @@ def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
     seen: set[str] = set()
     for pair in pairs:
         _claim_id(seen, pair.pair_id, "pair_id")
-    for turn in _pair_turns(pairs):
+    turns = [turn for pair in pairs for turn in (*pair.chosen.turns, *pair.rejected.turns)]
+    for turn in turns:
         _check_times(turn.start_s, turn.end_s, turn.duration_s)
-    d_ins = {turn.d_in for turn in _pair_turns(pairs)}
+    d_ins = {turn.d_in for turn in turns}
     if len(d_ins) > 1:
         raise ShapeMismatchError(f"turn features have d_in {sorted(d_ins)}; a pair manifest's shard holds one d_in")
     shard = shard_path(path)
-    rows = sum(turn.n_frames for turn in _pair_turns(pairs))
-    _replace_file(shard, _feature_chunks(rows, d_ins.pop() if d_ins else 0, (t.features for t in _pair_turns(pairs))))
-    starts = itertools.accumulate((turn.n_frames for turn in _pair_turns(pairs)), initial=0)
-    turns = (_turn_record(turn, shard.name, row) for turn, row in zip(_pair_turns(pairs), starts))
+    starts = list(itertools.accumulate((turn.n_frames for turn in turns), initial=0))
+    _replace_file(shard, _feature_chunks(starts[-1], d_ins.pop() if d_ins else 0, (t.features for t in turns)))
+    records = map(_turn_record, turns, itertools.repeat(shard.name), starts)
     write_jsonl(
         (
             {
@@ -624,8 +628,8 @@ def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
                 "criterion": pair.criterion.value,
                 "split": pair.split,
                 "source_tier": pair.source_tier,
-                "chosen": _episode_record(pair.chosen, [next(turns) for _ in pair.chosen.turns]),
-                "rejected": _episode_record(pair.rejected, [next(turns) for _ in pair.rejected.turns]),
+                "chosen": _episode_record(pair.chosen, list(itertools.islice(records, pair.chosen.n_turns))),
+                "rejected": _episode_record(pair.rejected, list(itertools.islice(records, pair.rejected.n_turns))),
             }
             for pair in pairs
         ),
@@ -633,25 +637,21 @@ def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
     )
 
 
-def _pair_headers(records: Iterator[tuple[int, dict]]) -> Iterator[tuple[int, dict, str, Criterion, str, str]]:
-    """Yield (line number, record, pair_id, criterion, split, source_tier)
-    for each of a pair manifest's :func:`read_jsonl` ``records`` whose keys
-    and header values are valid; a pair_id seen on an earlier line raises
+def _pair_header(rec: dict, seen: set[str]) -> tuple[str, Criterion, str, str]:
+    """(pair_id, criterion, split, source_tier) of a pair record whose keys
+    and header values are valid; a pair_id already in ``seen`` raises
     DUPLICATE_ID."""
-    seen: set[str] = set()
-    for lineno, rec in records:
-        with _record("pair record", lineno):
-            pair_id = _get(rec, "pair_id", str)
-            criterion = Criterion(_get(rec, "criterion", str))
-            split = _get(rec, "split", str)
-            source_tier = _get(rec, "source_tier", str)
-            _get(rec, "chosen", dict), _get(rec, "rejected", dict)  # both sides must be objects
-            _claim_id(seen, pair_id, "pair_id")
-            if split not in SPLITS:
-                raise ManifestParseError(f"unknown split {split!r}")
-            if source_tier not in SOURCE_TIERS:
-                raise ManifestParseError(f"unknown source_tier {source_tier!r}")
-        yield lineno, rec, pair_id, criterion, split, source_tier
+    pair_id = _get(rec, "pair_id", str)
+    criterion = Criterion(_get(rec, "criterion", str))
+    split = _get(rec, "split", str)
+    source_tier = _get(rec, "source_tier", str)
+    _get(rec, "chosen", dict), _get(rec, "rejected", dict)  # both sides must be objects
+    _claim_id(seen, pair_id, "pair_id")
+    if split not in SPLITS:
+        raise ManifestParseError(f"unknown split {split!r}")
+    if source_tier not in SOURCE_TIERS:
+        raise ManifestParseError(f"unknown source_tier {source_tier!r}")
+    return pair_id, criterion, split, source_tier
 
 
 def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
@@ -668,13 +668,15 @@ def iter_pairs(path: str | Path) -> Iterator[PreferencePair]:
     that fails validation. A dropped pair's rows are freed, as each turn's
     rows are an array of its own.
     """
-    return _pairs(read_jsonl(path), _FeatureFiles(os.path.dirname(path)))
+    return _pairs(read_jsonl(path), _FeatureFiles(os.path.dirname(path), shard_path(path).name))
 
 
 def _pairs(records: Iterator[tuple[int, dict]], files: _FeatureFiles) -> Iterator[PreferencePair]:
+    seen: set[str] = set()
     with closing(files):
-        for lineno, rec, pair_id, criterion, split, source_tier in _pair_headers(files.tiled(records)):
+        for lineno, rec in files.tiled(records):
             with _record("pair record", lineno):
+                pair_id, criterion, split, source_tier = _pair_header(rec, seen)
                 chosen = _parse_episode(rec["chosen"], files, source_tier)
                 rejected = _parse_episode(rec["rejected"], files, source_tier)
                 codes = validate_episode(chosen) + validate_episode(rejected)
@@ -696,7 +698,13 @@ def read_pair_tiers(path: str | Path) -> dict[str, str]:
     """pair_id -> source_tier of a pair manifest, from the JSONL alone: each
     record's header is checked as in :func:`iter_pairs`, but no feature
     file is read and no episode is validated."""
-    return {pair_id: source_tier for _, _, pair_id, _, _, source_tier in _pair_headers(read_jsonl(path))}
+    seen: set[str] = set()
+    tiers = {}
+    for lineno, rec in read_jsonl(path):
+        with _record("pair record", lineno):
+            pair_id, _, _, source_tier = _pair_header(rec, seen)
+            tiers[pair_id] = source_tier
+    return tiers
 
 
 def write_episodes(episodes: list[Episode], path: str | Path) -> None:
@@ -762,12 +770,23 @@ _SEGMENT_FIELDS = {"speaker_id": str, "start_s": float, "end_s": float, "transcr
 
 
 def write_segments(manifest: SegmentManifest, path: str | Path) -> None:
-    """Write a raw segment manifest once its records pass :func:`_check_times` and :func:`_check_start_order`."""
+    """Write a raw segment manifest once its records pass :func:`_check_times` and :func:`_check_start_order`.
+    Written into a directory other than its ``base_dir`` (when that is set), each relative
+    ``features_path`` is rebased to stay relative to the new manifest, naming the same file."""
     for seg in manifest.records:
         _check_times(seg.start_s, seg.end_s)
     _check_start_order(manifest.records)
-    # Shallow records in field order: dataclasses.asdict deep-copies every field.
-    write_jsonl(({k: getattr(seg, k) for k in _SEGMENT_FIELDS} for seg in manifest.records), path)
+    base, target = manifest.base_dir, os.path.dirname(path) or os.curdir
+    moved = base and os.path.abspath(base) != os.path.abspath(target)
+
+    def record(seg: Segment) -> dict:
+        # Shallow, in field order: dataclasses.asdict deep-copies every field.
+        rec = {k: getattr(seg, k) for k in _SEGMENT_FIELDS}
+        if moved and not os.path.isabs(seg.features_path):
+            rec["features_path"] = os.path.relpath(os.path.join(base, seg.features_path), target)
+        return rec
+
+    write_jsonl(map(record, manifest.records), path)
 
 
 def read_segments(path: str | Path) -> SegmentManifest:
@@ -778,4 +797,4 @@ def read_segments(path: str | Path) -> SegmentManifest:
         with _record("segment record", lineno):
             records.append(Segment(**{k: _get(rec, k, kind) for k, kind in _SEGMENT_FIELDS.items()}))
             _check_start_order(records[-2:])
-    return SegmentManifest(records, os.path.dirname(path))
+    return SegmentManifest(records, os.path.dirname(path) or os.curdir)

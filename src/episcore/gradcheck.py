@@ -10,7 +10,7 @@ not divide by zero.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -76,31 +76,17 @@ class GroupResult:
 
 
 @dataclass
-class GradcheckReport:
+class GradcheckReport:  # the fields in the order of the report's JSON keys
     passed: bool
     tolerance: float
     n_draws: int
     modes: tuple[str, ...]
-    groups: dict[str, GroupResult] = field(default_factory=dict)
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((g.max_rel_err for g in self.groups.values()), default=0.0)
-
-    @property
-    def worst_group(self) -> str:
-        return max(self.groups, key=lambda name: self.groups[name].max_rel_err)
+    max_rel_err: float
+    worst_group: str
+    groups: dict[str, GroupResult]
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "n_draws": self.n_draws,
-            "modes": list(self.modes),
-            "max_rel_err": self.max_rel_err,
-            "worst_group": self.worst_group,
-            "groups": {name: asdict(g) for name, g in self.groups.items()},
-        }
+        return asdict(self)
 
 
 def run_gradcheck(
@@ -128,4 +114,5 @@ def run_gradcheck(
                 if err[i] > groups[name].max_rel_err:
                     groups[name] = GroupResult(float(err[i]), draw, mode, i)
     passed = all(g.max_rel_err < tol for g in groups.values())
-    return GradcheckReport(passed=passed, tolerance=tol, n_draws=n_draws, modes=POOLING_MODES, groups=groups)
+    worst = max(groups, key=lambda name: groups[name].max_rel_err)
+    return GradcheckReport(passed, tol, n_draws, POOLING_MODES, groups[worst].max_rel_err, worst, groups)

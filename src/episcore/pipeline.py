@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .episodes import (
+    SOURCE_TIERS,
     Criterion,
     Episode,
     PreferencePair,
@@ -351,7 +352,7 @@ def default_channel_offsets(d_in: int) -> dict[str, np.ndarray]:
     have; the centering term actively drives that response to zero.
     """
     offsets = {}
-    for i, tier in enumerate(("wild", "semi-wild", "scripted", "colloquial")):
+    for i, tier in enumerate(SOURCE_TIERS):
         vec = np.zeros(d_in)
         vec[0] = 1.0
         dim = (1 + i // 2) % max(1, d_in // 2)

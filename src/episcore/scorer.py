@@ -58,9 +58,7 @@ import numpy as np
 from .episodes import Criterion, Episode, _replace_file
 from .errors import CheckpointError, ShapeMismatchError
 
-POOLING_MODES = ("last", "mean", "attention")
-_POOLING_CODE = {"last": 0, "mean": 1, "attention": 2}
-_POOLING_FROM_CODE = {v: k for k, v in _POOLING_CODE.items()}
+POOLING_MODES = ("last", "mean", "attention")  # a checkpoint stores the mode's index here
 
 # Fixed seed of the token hash embedding; part of the model definition.
 TOKEN_EMBED_SEED = 0x70CEA5
@@ -460,7 +458,7 @@ def check_storable(cfg: ScorerConfig) -> None:
 def save_checkpoint(path: str | Path, cfg: ScorerConfig, params: ScorerParams) -> None:
     check_storable(cfg)
     check_shapes(cfg, params)
-    header = _HEADER.pack(CHECKPOINT_VERSION, cfg.d_in, cfg.d, cfg.head_hidden, _POOLING_CODE[cfg.pooling])
+    header = _HEADER.pack(CHECKPOINT_VERSION, cfg.d_in, cfg.d, cfg.head_hidden, POOLING_MODES.index(cfg.pooling))
     _replace_file(path, [header, np.ascontiguousarray(params.flat, dtype="<f8")])
 
 
@@ -477,11 +475,11 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerConfig, ScorerParams]:
     version, d_in, d, head_hidden, pool_code = _HEADER.unpack_from(raw)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if pool_code not in _POOLING_FROM_CODE:
+    if pool_code >= len(POOLING_MODES):
         raise CheckpointError(f"unknown pooling code {pool_code}")
     try:
         cfg = ScorerConfig(
-            d_in=int(d_in), d=int(d), pooling=_POOLING_FROM_CODE[pool_code], head_hidden=int(head_hidden)
+            d_in=int(d_in), d=int(d), pooling=POOLING_MODES[pool_code], head_hidden=int(head_hidden)
         )
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc

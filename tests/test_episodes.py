@@ -623,6 +623,18 @@ class TestFeatureShard:
         assert f"{shard_path(path)}: its turns end at row {read} of its {rows} rows" in str(exc.value)
         assert list(read_pair_tiers(cut)) == ["p0", "p1"]  # the header reader reads no feature file
 
+    def test_an_emptied_manifest_beside_a_shard_with_rows_is_feature_io(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        pairs = self._pairs()
+        write_pairs(pairs, path)
+        path.write_bytes(b"")
+        rows = sum(t.n_frames for p in pairs for t in p.chosen.turns + p.rejected.turns)
+        with pytest.raises(FeatureIOError) as exc:
+            read_pairs(path)
+        assert exc.value.line is None  # no line to name
+        assert f"{shard_path(path)}: no turn names any of its {rows} rows" in str(exc.value)
+        assert read_pair_tiers(path) == {}  # the header reader reads no feature file
+
     def test_per_turn_sidecar_pair_manifest_still_reads(self, tmp_path):
         pairs = self._pairs()
         path = tmp_path / "pairs.jsonl"
@@ -800,6 +812,22 @@ class TestSegmentManifest:
         (episode,) = group_segments(again, GroupingConfig())
         assert [t.n_frames for t in episode.turns] == [2, 2]
 
+    def test_a_manifest_written_into_another_directory_names_the_same_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_features("a/f/s0.f32", np.zeros((2, D_IN), dtype=np.float32))
+        write_features("s1.f32", np.ones((3, D_IN), dtype=np.float32))
+        absolute = str(tmp_path / "s1.f32")
+        segments = [Segment("spk-a", 0.0, 1.0, "yeah", "f/s0.f32"), Segment("spk-b", 1.0, 2.0, "ça va", absolute)]
+        write_segments(SegmentManifest(segments), "a/segments.jsonl")
+        write_segments(read_segments("a/segments.jsonl"), "b/segments.jsonl")
+        paths = [json.loads(line)["features_path"] for line in Path("b/segments.jsonl").read_text().splitlines()]
+        assert paths == [os.path.join("..", "a", "f", "s0.f32"), absolute]  # an absolute path is kept as is
+        grouped = group_segments(read_segments("a/segments.jsonl"), GroupingConfig())
+        assert group_segments(read_segments("b/segments.jsonl"), GroupingConfig()) == grouped
+        monkeypatch.chdir("b")  # a bare file name: the manifest's directory is the working one
+        write_segments(read_segments("segments.jsonl"), tmp_path / "segments.jsonl")
+        assert group_segments(read_segments(tmp_path / "segments.jsonl"), GroupingConfig()) == grouped
+
     def test_unsorted_records_are_refused_before_anything_is_written(self, tmp_path):
         manifest = SegmentManifest([Segment("a", 0.0, 1.0, "x", "s.f32"), Segment("b", 2.0, 3.0, "y", "s.f32")])
         manifest.records.reverse()
@@ -951,13 +979,16 @@ def test_every_proper_prefix_of_a_pair_manifest_is_a_coded_error(cut_source, dat
     line_ends = [i + 1 for i, byte in enumerate(raw[:-1]) if byte == ord("\n")]
     in_a_character = [i for i in range(1, len(raw)) if raw[i] & 0xC0 == 0x80]  # before a UTF-8 continuation byte
     end = data.draw(
-        st.one_of(st.sampled_from(line_ends), st.sampled_from(in_a_character), st.integers(1, len(raw) - 1))
+        st.one_of(
+            st.just(0), st.sampled_from(line_ends), st.sampled_from(in_a_character), st.integers(1, len(raw) - 1)
+        )
     )
-    cut = root / "cut.jsonl"  # beside the shard its records name
+    cut = root / "pairs.jsonl"  # in place: the shard its records name is its own
     cut.write_bytes(raw[:end])
     if end == len(raw) - 1:  # only the final newline dropped
         assert list(iter_pairs(cut)) == pairs
         return
     with pytest.raises(EpiscoreError) as exc:
         list(iter_pairs(cut))
-    assert exc.value.code in ("PARSE_ERROR", "FEATURE_IO") and exc.value.line is not None
+    assert exc.value.code in ("PARSE_ERROR", "FEATURE_IO")
+    assert (exc.value.line is None) == (end == 0)  # the empty prefix has no line to name
