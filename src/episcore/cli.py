@@ -17,13 +17,14 @@ import io
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, config as configio, evaluation, gradcheck, pipeline, scorer, training
 from .episodes import (
-    SPLITS, _read_text, _record, _replace_file, iter_pairs, read_episodes, read_pair_tiers, read_pairs,
+    SOURCE_TIERS, SPLITS, _read_text, _record, _replace_file, iter_pairs, read_episodes, read_pair_tiers, read_pairs,
     read_segments, write_episodes, write_jsonl, write_pairs,
 )
 from .errors import EmptySetError, EpiscoreError, ManifestParseError
@@ -132,22 +133,18 @@ def cmd_score(args) -> int:
 
 
 def _score_manifest(pairs_path, checkpoint, out: Path) -> None:
-    """Score the pairs of a manifest one :func:`training.pair_chunks` page
-    at a time, keeping only each pair's header."""
+    """Score the pairs of a manifest in pages of ``training.SCORE_CHUNK``
+    pairs, one :func:`training.pair_table` each, so a page is one forward
+    pass and a stream is never held whole."""
     pairs = iter_pairs(pairs_path)  # opens the manifest: a missing one fails before the checkpoint is read
     cfg, params = scorer.load_checkpoint(checkpoint)
-    heads = []
-
-    def noted(pairs):
-        for p in pairs:
-            heads.append((p.pair_id, p.source_tier, p.criterion.value))
-            yield p
-
-    r_chosen, r_rejected = training.score_pairs(training.pair_chunks(noted(pairs), cfg), cfg, params)
-    scored = [
-        evaluation.ScoredPair(pair_id, float(c), float(r), tier, criterion)
-        for (pair_id, tier, criterion), c, r in zip(heads, r_chosen, r_rejected)
-    ]
+    scored = []
+    while page := list(islice(pairs, training.SCORE_CHUNK)):
+        r_chosen, r_rejected = training.score_pairs(training.pair_table(page, cfg), cfg, params)
+        scored += (
+            evaluation.ScoredPair(p.pair_id, float(c), float(r), p.source_tier, p.criterion.value)
+            for p, c, r in zip(page, r_chosen, r_rejected)
+        )
     evaluation.write_scores(scored, out)
     print(f"scored {len(scored)} pairs to {out}")
 
@@ -216,11 +213,7 @@ def cmd_agreement(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = gradcheck.run_gradcheck(
-        n_draws=args.draws,
-        seed=args.seed,
-        tol=args.tol,
-    )
+    report = gradcheck.run_gradcheck(n_draws=args.draws, seed=args.seed)
     out = _resolve(args.out_dir, args.out)
     _write_json(out, report.to_dict())
     verdict = "PASS" if report.passed else "FAIL"
@@ -315,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="segment manifest (JSONL)")
     p.add_argument("--config", help="flat key-value grouping config file")
     p.add_argument("--out", required=True, help="output episode manifest (JSONL)")
-    p.add_argument("--tier", default="wild", help="source tier recorded on grouped episodes")
+    p.add_argument("--tier", default="wild", choices=SOURCE_TIERS, help="source tier recorded on grouped episodes")
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_pipeline_group)
 
@@ -361,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of the scorer gradients")
     p.add_argument("--draws", type=_positive_int, default=100)
-    p.add_argument("--tol", type=float, default=gradcheck.DEFAULT_TOL)
     p.add_argument("--out", default="gradcheck-report.json")
     _add_common(p)
     p.set_defaults(func=cmd_gradcheck)

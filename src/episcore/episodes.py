@@ -84,6 +84,12 @@ def _check_times(start_s: float | None, end_s: float | None, duration_s: float |
         raise ValueError(f"end_s {end_s} precedes start_s {start_s}")
 
 
+def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """ValueError naming the field ``name`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}, expected one of {choices}")
+
+
 @dataclass(eq=False, slots=True)
 class Turn:
     """One dialogue turn: transcript plus an (F, d_in) frame matrix.
@@ -143,8 +149,7 @@ class Episode:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.source_tier not in SOURCE_TIERS:
-            raise ValueError(f"unknown source_tier {self.source_tier!r}, expected one of {SOURCE_TIERS}")
+        _check_choice("source_tier", self.source_tier, SOURCE_TIERS)
 
     @property
     def n_turns(self) -> int:
@@ -170,8 +175,7 @@ class PreferencePair:
     split: str
 
     def __post_init__(self):
-        if self.split not in SPLITS:
-            raise ValueError(f"unknown split {self.split!r}, expected one of {SPLITS}")
+        _check_choice("split", self.split, SPLITS)
         codes = validate_pair(self.chosen, self.rejected)
         if codes:
             raise InvariantError(codes, message=f"pair {self.pair_id}")
@@ -467,6 +471,18 @@ def _claim_id(seen: set[str], owner_id: str, kind: str) -> None:
     seen.add(owner_id)
 
 
+def _check_written(ep: Episode) -> None:
+    """The rules that the readers check again on an episode record, which an
+    episode may break once built: its source_tier, metadata keys and values
+    that are strings, and each turn's times (:func:`_check_times`).
+    ValueError naming the field otherwise."""
+    _check_choice("source_tier", ep.source_tier, SOURCE_TIERS)
+    if not all(isinstance(k, str) and isinstance(v, str) for k, v in ep.metadata.items()):
+        raise ValueError(f"episode {ep.episode_id!r}: metadata keys and values must be strings")
+    for turn in ep.turns:
+        _check_times(turn.start_s, turn.end_s, turn.duration_s)
+
+
 def _sidecar_paths(ep: Episode, features_dir: str) -> list[str]:
     """Each turn's sidecar, relative to the manifest's directory. Escaping "%"
     first keeps the naming injective, so distinct episodes never share a file."""
@@ -606,14 +622,15 @@ def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
     Rewriting the same pairs produces byte-identical files. Before writing
     anything, raises DUPLICATE_ID when two pairs share a pair_id,
     SHAPE_MISMATCH when the turns' ``d_in`` differ, and ValueError when a
-    turn's times break :func:`_check_times`.
+    split is not in ``SPLITS`` or a side breaks :func:`_check_written`.
     """
     seen: set[str] = set()
     for pair in pairs:
         _claim_id(seen, pair.pair_id, "pair_id")
+        _check_choice("split", pair.split, SPLITS)
+        _check_written(pair.chosen)
+        _check_written(pair.rejected)
     turns = [turn for pair in pairs for turn in (*pair.chosen.turns, *pair.rejected.turns)]
-    for turn in turns:
-        _check_times(turn.start_s, turn.end_s, turn.duration_s)
     d_ins = {turn.d_in for turn in turns}
     if len(d_ins) > 1:
         raise ShapeMismatchError(f"turn features have d_in {sorted(d_ins)}; a pair manifest's shard holds one d_in")
@@ -713,13 +730,12 @@ def write_episodes(episodes: list[Episode], path: str | Path) -> None:
     name>_features/`` beside it, all written in place before the JSONL.
     Once the JSONL is committed, every other file in that directory goes.
     Before writing anything, raises DUPLICATE_ID when two episodes share an
-    episode_id, and ValueError when a turn's times break :func:`_check_times`.
+    episode_id, and ValueError when an episode breaks :func:`_check_written`.
     """
     seen: set[str] = set()
     for ep in episodes:
         _claim_id(seen, ep.episode_id, "episode_id")
-        for turn in ep.turns:
-            _check_times(turn.start_s, turn.end_s, turn.duration_s)
+        _check_written(ep)
     path = Path(path)
     features_dir = f"{path.name}_features"
     sidecars = [_sidecar_paths(ep, features_dir) for ep in episodes]

@@ -26,11 +26,11 @@ the rejected sides), and every such batch is a gather from a
 from any iterable (``episcore train`` passes manifest streams, so the
 pairs are never held as objects); each step is a :func:`pair_batch`
 gather for :func:`total_loss` (a whole pair set as one batch is the
-:func:`pair_batch` of all its pairs). Forward-only scoring
-(:func:`score_pairs`, :func:`evaluate_loss`) takes chunks of
-``SCORE_CHUNK`` consecutive pairs, all made by :func:`table_chunks`:
-train validation chunks its val table, and :func:`pair_chunks` pages
-any iterable of pairs through it, one table per page.
+:func:`pair_batch` of all its pairs). Forward-only scoring is
+:func:`score_pairs`, one pass per ``SCORE_CHUNK`` consecutive pairs of a
+table: train validation (:func:`evaluate_loss`) scores its val table, and
+``episcore score`` pages a manifest into tables of ``SCORE_CHUNK`` pairs,
+one pass each, so the two give a pair the same bits.
 
 Determinism: the same params and the same batch composition give a
 bitwise-identical :class:`BatchLoss`, so a training run is bitwise
@@ -41,9 +41,8 @@ agrees within 1e-15, not bitwise.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -153,32 +152,16 @@ def pair_batch(table: RowTable, index) -> EpisodeBatch:
 SCORE_CHUNK = 32
 
 
-def table_chunks(table: RowTable) -> Iterator[EpisodeBatch]:
-    """The :func:`pair_batch` batches of ``SCORE_CHUNK`` consecutive pairs
-    of a :func:`pair_table`, in order (the last one may be shorter). This
-    chunk composition fixes the bits of every forward-only score."""
+def score_pairs(table: RowTable, cfg: ScorerConfig, params: ScorerParams) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-only (chosen, rejected) scores of every pair of a
+    :func:`pair_table`, one forward pass per ``SCORE_CHUNK`` consecutive
+    pairs (the last pass may be shorter). This chunk rule fixes the bits
+    of every forward-only score."""
     n = len(table) // 2
-    for lo in range(0, n, SCORE_CHUNK):
-        yield pair_batch(table, np.arange(lo, min(lo + SCORE_CHUNK, n)))
-
-
-def pair_chunks(pairs: Iterable[PreferencePair], cfg: ScorerConfig) -> Iterator[EpisodeBatch]:
-    """The :func:`table_chunks` of ``pairs``, paged: each page of
-    ``SCORE_CHUNK`` pairs is read into its own :func:`pair_table` as the
-    batches are consumed, so a stream is never held whole. A page is one
-    chunk, so ``episcore score`` and train validation (the chunks of one
-    whole table) agree bitwise."""
-    pairs = iter(pairs)
-    while len(table := pair_table(islice(pairs, SCORE_CHUNK), cfg)):
-        yield from table_chunks(table)
-
-
-def score_pairs(
-    chunks: Iterable[EpisodeBatch], cfg: ScorerConfig, params: ScorerParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-only (chosen, rejected) scores of every pair of the
-    :func:`pair_batch` batches ``chunks``, one forward pass per chunk."""
-    scores = [scorer.score_batch(chunk, cfg, params).r.reshape(2, -1) for chunk in chunks]
+    scores = [
+        scorer.score_batch(pair_batch(table, np.arange(lo, min(lo + SCORE_CHUNK, n))), cfg, params).r.reshape(2, -1)
+        for lo in range(0, n, SCORE_CHUNK)
+    ]
     r = np.concatenate(scores, axis=1) if scores else np.empty((2, 0))
     return r[0], r[1]
 
@@ -282,11 +265,11 @@ class TrainResult:
 
 
 def evaluate_loss(
-    chunks: Iterable[EpisodeBatch], cfg: ScorerConfig, params: ScorerParams, lambda_center: float
+    table: RowTable, cfg: ScorerConfig, params: ScorerParams, lambda_center: float
 ) -> tuple[float, float]:
-    """(total loss, pairwise accuracy) on the held-out :func:`pair_chunks`
-    (or :func:`table_chunks`) ``chunks``, forward only."""
-    rc, rr = score_pairs(chunks, cfg, params)
+    """(total loss, pairwise accuracy) on the held-out :func:`pair_table`
+    ``table``, scored by :func:`score_pairs`."""
+    rc, rr = score_pairs(table, cfg, params)
     return _objective(rc, rr, lambda_center)[0], float(np.mean(rc > rr))
 
 
@@ -305,7 +288,7 @@ def train(
     ``pairs`` and then ``val_pairs`` are read once each, in one pass, into
     a :func:`pair_table`; a stream is never held as pair objects. Each step
     gathers its batch from the train table, and each validation pass
-    gathers the :func:`table_chunks` of the val table.
+    scores the val table by :func:`evaluate_loss`.
 
     Deterministic given ``cfg.seed``: parameter init and the shuffling
     stream both derive from it. Validation loss is measured every
@@ -368,7 +351,7 @@ def train(
         )
 
         if has_val and (step % cfg.eval_every == 0 or step == cfg.total_steps):
-            val_loss, val_acc = evaluate_loss(table_chunks(val_table), scorer_cfg, params, cfg.lambda_center)
+            val_loss, val_acc = evaluate_loss(val_table, scorer_cfg, params, cfg.lambda_center)
             report.val_loss = val_loss
             report.val_accuracy = val_acc
             if val_loss < best_val:

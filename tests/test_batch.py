@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import episcore.scorer as sc
 from episcore import (
-    Criterion, Episode, PreferencePair, ScorerConfig, Turn, init_params, synth_config, synth_pairs, total_loss
+    Criterion, Episode, PreferencePair, ScorerConfig, Turn, init_params, read_pairs, save_checkpoint, synth_config,
+    synth_pairs, total_loss, write_pairs,
 )
+from episcore.cli import main
+from episcore.evaluation import read_scores
 from episcore.gradcheck import relative_error
-from episcore.training import (
-    SCORE_CHUNK, evaluate_loss, pair_batch, pair_chunks, pair_table, score_pairs, table_chunks
-)
+from episcore.training import SCORE_CHUNK, evaluate_loss, pair_batch, pair_table, score_pairs
 
 VOCAB = ["yeah", "so", "okay", "right", "well", "um"]
 
@@ -205,20 +206,30 @@ def test_validation_loss_of_one_chunk_is_the_trained_loss_bitwise(n_pairs):
     cfg = ScorerConfig(d_in=8, pooling="attention")
     params = init_params(cfg, seed=3)
     pairs = synth_pairs(synth_config(seed=6), n_pairs)
-    val_loss, _ = evaluate_loss(pair_chunks(pairs, cfg), cfg, params, 0.1)
+    val_loss, _ = evaluate_loss(pair_table(pairs, cfg), cfg, params, 0.1)
     batch = pair_batch(pair_table(pairs, cfg), range(n_pairs))
     assert val_loss == total_loss(batch, cfg, params, lambda_center=0.1).value
 
 
-def test_scoring_a_list_and_its_pack_agree_bitwise():
-    # The chunks of a list, packed one page at a time (``episcore score``),
-    # and the same chunks gathered from one table of the whole list (train
-    # validation): same bits.
+def test_scoring_a_list_and_its_pack_agree_bitwise(tmp_path, monkeypatch):
+    # ``episcore score`` pages a manifest into tables of SCORE_CHUNK pairs;
+    # train validation scores one table of the whole list. Both make the
+    # same passes, so both give a pair the same bits.
     cfg = ScorerConfig(d_in=8, pooling="attention")
     params = init_params(cfg, seed=2)
-    pairs = synth_pairs(synth_config(seed=5), 70)  # three chunks, the last one partial
-    from_list = score_pairs(pair_chunks(pairs, cfg), cfg, params)
-    from_pack = score_pairs(table_chunks(pair_table(pairs, cfg)), cfg, params)
-    assert all(np.array_equal(a, b) for a, b in zip(from_list, from_pack))
-    assert from_list[0].shape == (70,)
-    assert [len(chunk) // 2 for chunk in pair_chunks(pairs, cfg)] == [32, 32, 6]
+    manifest, ckpt = tmp_path / "pairs.jsonl", tmp_path / "s.ckpt"
+    write_pairs(synth_pairs(synth_config(seed=5), 70), manifest)  # three chunks, the last one partial
+    save_checkpoint(ckpt, cfg, params)
+    passes = []
+    score_batch = sc.score_batch
+    monkeypatch.setattr(sc, "score_batch", lambda batch, *a: passes.append(len(batch) // 2) or score_batch(batch, *a))
+
+    argv = ["score", "--pairs", manifest, "--checkpoint", ckpt, "--out", "s.jsonl", "--out-dir", tmp_path]
+    assert main([str(a) for a in argv]) == 0
+    assert passes == [32, 32, 6]
+    passes.clear()
+    rc, rr = score_pairs(pair_table(read_pairs(manifest), cfg), cfg, params)
+    assert passes == [32, 32, 6]
+    scored = read_scores(tmp_path / "s.jsonl")
+    assert np.array([s.r_chosen for s in scored]).tobytes() == rc.tobytes()
+    assert np.array([s.r_rejected for s in scored]).tobytes() == rr.tobytes()

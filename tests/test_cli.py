@@ -342,28 +342,34 @@ def test_an_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv, name
     assert (f"{bad} is not UTF-8" if named else "line 1: not UTF-8") in err
 
 
+POSITIVE = "expected a positive integer"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["synth", "--n", "0", "--out", "p.jsonl"],
-        ["synth", "--n", "two", "--out", "p.jsonl"],
-        ["e2e", "--n-train", "0"],
-        ["e2e", "--n-val", "0"],
-        ["e2e", "--steps", "-3"],
-        ["e2e", "--d-in", "0"],
-        ["gradcheck", "--draws", "0"],
-        ["pipeline", "stratify", "--in", "pairs.jsonl", "--out", "b.jsonl", "--cap", "-1"],
+        (["synth", "--n", "0", "--out", "p.jsonl"], POSITIVE),
+        (["synth", "--n", "two", "--out", "p.jsonl"], POSITIVE),
+        (["e2e", "--n-train", "0"], POSITIVE),
+        (["e2e", "--n-val", "0"], POSITIVE),
+        (["e2e", "--steps", "-3"], POSITIVE),
+        (["e2e", "--d-in", "0"], POSITIVE),
+        (["gradcheck", "--draws", "0"], POSITIVE),
+        (["pipeline", "group", "--manifest", "s.jsonl", "--out", "e.jsonl", "--tier", "bogus"], "invalid choice"),
+        (["pipeline", "stratify", "--in", "pairs.jsonl", "--out", "b.jsonl", "--cap", "-1"], POSITIVE),
     ],
     ids=[
         "synth-n-zero", "synth-n-word", "e2e-n-train", "e2e-n-val", "e2e-steps", "e2e-d-in", "gradcheck-draws",
-        "stratify-cap",
+        "group-tier", "stratify-cap",
     ],
 )
-def test_count_flags_must_be_positive(tmp_path, capsys, argv):
+def test_count_flags_must_be_positive(tmp_path, capsys, argv, message):
+    """A count below 1, or a tier outside the source tiers, is a usage
+    error: exit 2 before anything is written."""
     with pytest.raises(SystemExit) as exc:
         run(*argv, "--out-dir", tmp_path)
     assert exc.value.code == 2
-    assert "expected a positive integer" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

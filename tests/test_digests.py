@@ -1,4 +1,5 @@
-"""Pinned bytes of the commands whose outputs use no BLAS.
+"""Pinned bytes of the commands whose outputs use no BLAS, and the same
+bytes under one and two BLAS threads for those that do.
 
 ``synth``, ``pipeline group``, ``pipeline filter`` and ``pipeline stratify``
 run through ``cli.main`` on fixed seeds, and the sha256 of every file each
@@ -6,15 +7,24 @@ one writes (manifests, shards and sidecars; not ``run-manifest.json``) must
 equal its pinned digest. The digests follow numpy's ``Generator`` streams and
 were taken with numpy 2.4.6, as the golden scores were. A change that means
 to move these bytes updates the digests and says why.
+
+``e2e`` and ``gradcheck`` run in their own interpreters under
+``OPENBLAS_NUM_THREADS=1`` and ``2``, and every file each one writes must
+have the same bytes under both.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from episcore.cli import main
 from episcore.episodes import Segment, SegmentManifest, write_features, write_segments
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _segment_stream(root: Path) -> Path:
@@ -92,3 +102,28 @@ def test_outputs_that_use_no_blas_keep_their_bytes(tmp_path):
          "--train-ids", tmp_path / "in" / "train-ids.txt", "--out", "bench.jsonl", "--out-dir", out / "stratify")
     written = {command: _written(out / command) for command in ("synth", "group", "filter", "stratify")}
     assert written == PINNED
+
+
+def _run_threaded(cwd: Path, threads: int, *argv) -> None:
+    """``episcore *argv --out-dir .`` in its own interpreter in ``cwd``, under ``threads`` BLAS threads."""
+    cwd.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads))
+    command = [sys.executable, "-m", "episcore.cli", *map(str, argv), "--out-dir", "."]
+    proc = subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_outputs_keep_their_bytes_under_one_and_two_blas_threads(tmp_path):
+    # 40 val pairs: ``score`` pages them in two chunks, and train validation scores them in two passes.
+    for threads in (1, 2):
+        root = tmp_path / f"blas-{threads}"
+        _run_threaded(root / "e2e", threads, "e2e", "--pooling", "attention", "--n-train", 64, "--n-val", 40,
+                      "--steps", 30)
+        _run_threaded(root / "gradcheck", threads, "gradcheck", "--draws", 3)
+    one, two = (
+        {path.relative_to(tmp_path / run).as_posix(): path.read_bytes() for path in (tmp_path / run).rglob("*")
+         if path.is_file()}
+        for run in ("blas-1", "blas-2")
+    )
+    assert {"e2e/val-scores.jsonl", "e2e/best.ckpt", "gradcheck/gradcheck-report.json"} <= one.keys()
+    assert one == two

@@ -24,7 +24,7 @@ from episcore import (
 )
 from episcore.errors import CheckpointError, EmptyBatchError
 from episcore.gradcheck import relative_error
-from episcore.training import AdamState, evaluate_loss, pair_batch, pair_chunks, pair_table, score_pairs, warmup_steps
+from episcore.training import AdamState, evaluate_loss, pair_batch, pair_table, score_pairs, warmup_steps
 
 finite_scores = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -235,7 +235,7 @@ class TestTrainLoop:
         result = train(train_pairs, val_pairs, scfg, tcfg)
         val_losses = [r.val_loss for r in result.history if r.val_loss is not None]
         assert result.best_val_loss == min(val_losses)
-        best_loss, _ = evaluate_loss(pair_chunks(val_pairs, scfg), scfg, result.best_params, tcfg.lambda_center)
+        best_loss, _ = evaluate_loss(pair_table(val_pairs, scfg), scfg, result.best_params, tcfg.lambda_center)
         assert best_loss == pytest.approx(result.best_val_loss, rel=0, abs=0)
 
     def test_rolling_checkpoint_window(self, tmp_path):
@@ -275,7 +275,7 @@ class TestTrainLoop:
         scfg = ScorerConfig(d_in=8)
         tcfg = TrainConfig(total_steps=150, eval_every=50, seed=0)
         result = train(train_pairs, val_pairs, scfg, tcfg)
-        rc, rr = score_pairs(pair_chunks(val_pairs, scfg), scfg, result.best_params)
+        rc, rr = score_pairs(pair_table(val_pairs, scfg), scfg, result.best_params)
         assert float(np.mean(rc > rr)) >= 0.8
 
     def test_hundred_step_moving_average_of_loss_decreases(self):
@@ -303,12 +303,10 @@ class TestTrainLoop:
         assert a.best_params.flat.tobytes() == b.best_params.flat.tobytes()
         for ckpt in (tmp_path / "a").iterdir():
             assert ckpt.read_bytes() == (tmp_path / "b" / ckpt.name).read_bytes()
-        scfg = dataclasses.replace(scfg, max_frames_per_turn=5)  # chunks of truncated turns
-        from_list, from_stream = list(pair_chunks(train_pairs, scfg)), list(pair_chunks(iter(train_pairs), scfg))
-        assert len(from_list) == len(from_stream) == 2  # 48 pairs: a full chunk and a partial one
-        for listed, streamed in zip(from_list, from_stream):
-            for field in ("x", "lengths", "criteria"):
-                assert getattr(listed, field).tobytes() == getattr(streamed, field).tobytes(), field
-        scores = score_pairs(from_list, scfg, a.best_params)
-        streamed = score_pairs(iter(from_stream), scfg, a.best_params)
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(scores, streamed))
+        scfg = dataclasses.replace(scfg, max_frames_per_turn=5)  # tables of truncated turns
+        listed, streamed = pair_table(train_pairs, scfg), pair_table(iter(train_pairs), scfg)
+        for field in ("frames", "tokens", "row_of", "lengths", "criteria"):
+            assert getattr(listed, field).tobytes() == getattr(streamed, field).tobytes(), field
+        scores = score_pairs(listed, scfg, a.best_params)  # 48 pairs: a full chunk and a partial one
+        assert scores[0].shape == (48,)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(scores, score_pairs(streamed, scfg, a.best_params)))

@@ -197,29 +197,50 @@ def test_agreement_csv_keeps_the_old_file(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The writers check the time rule again: a field set after construction is
-# refused before any file is written.
+# The writers check again what the readers refuse: a field set after
+# construction is refused before any file is written.
 # ---------------------------------------------------------------------------
+
+
+def _files(root: Path) -> dict[Path, bytes]:
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _assert_refused_by_the_writers(tmp_path, pair, episode, match=None) -> None:
+    """Writing ``pair`` or (unless None) ``episode`` over a pair and an
+    episode manifest raises ValueError, and every file is left intact."""
+    pairs_path, episodes_path = tmp_path / "pairs.jsonl", tmp_path / "episodes.jsonl"
+    write_pairs([make_pair()], pairs_path)
+    write_episodes([make_episode()], episodes_path)
+    before = _files(tmp_path)
+    with pytest.raises(ValueError, match=match):
+        write_pairs([pair], pairs_path)
+    if episode is not None:
+        with pytest.raises(ValueError, match=match):
+            write_episodes([episode], episodes_path)
+    assert _files(tmp_path) == before
+    assert read_pairs(pairs_path) == [make_pair()] and read_episodes(episodes_path) == [make_episode()]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
 def test_a_turn_time_set_after_construction_is_refused_by_the_writers(tmp_path, value):
-    pairs_path, episodes_path = tmp_path / "pairs.jsonl", tmp_path / "episodes.jsonl"
-    write_pairs([make_pair()], pairs_path)
-    write_episodes([make_episode()], episodes_path)
-    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
-    before = {p: p.read_bytes() for p in files}
-
     pair, episode = make_pair(), make_episode()
     pair.chosen.turns[1].duration_s = value
     episode.turns[0].duration_s = value
-    with pytest.raises(ValueError):
-        write_pairs([pair], pairs_path)
-    with pytest.raises(ValueError):
-        write_episodes([episode], episodes_path)
-    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
-    assert {p: p.read_bytes() for p in files} == before
-    assert read_pairs(pairs_path) == [make_pair()] and read_episodes(episodes_path) == [make_episode()]
+    _assert_refused_by_the_writers(tmp_path, pair, episode)
+
+
+@pytest.mark.parametrize("field", ["split", "source_tier", "metadata"])
+def test_a_field_the_readers_refuse_is_refused_by_the_writers(tmp_path, field):
+    pair, episode = make_pair(), make_episode()
+    if field == "split":  # episodes have no split
+        pair.split, episode = "bogus", None
+    elif field == "source_tier":
+        pair.chosen.source_tier = episode.source_tier = "bogus"
+    else:
+        pair.rejected.metadata["k"] = 1
+        episode = make_episode(metadata={"k": 1})  # Episode takes it; only the writer checks metadata
+    _assert_refused_by_the_writers(tmp_path, pair, episode, match=field)
 
 
 @pytest.mark.parametrize("field, value", [("start_s", math.nan), ("end_s", math.inf), ("end_s", 0.0)])
