@@ -4,6 +4,8 @@ evaluation harness around it."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .episodes import (
     Criterion,
     Episode,
@@ -74,65 +76,5 @@ from .training import (
     train,
 )
 
-__all__ = [
-    "__version__",
-    "Criterion",
-    "Episode",
-    "PreferencePair",
-    "Segment",
-    "SegmentManifest",
-    "Turn",
-    "validate_episode",
-    "iter_pairs",
-    "read_pairs",
-    "write_pairs",
-    "read_episodes",
-    "write_episodes",
-    "read_segments",
-    "write_segments",
-    "GroupingConfig",
-    "JudgeScores",
-    "HeuristicJudge",
-    "SynthConfig",
-    "group_segments",
-    "filter_structural",
-    "filter_by_judge",
-    "stratify_bench",
-    "synth_config",
-    "synth_pairs",
-    "ScorerConfig",
-    "ScorerParams",
-    "Activations",
-    "EpisodeBatch",
-    "RowTable",
-    "pack_episodes",
-    "score",
-    "score_batch",
-    "backward",
-    "backward_batch",
-    "init_params",
-    "save_checkpoint",
-    "load_checkpoint",
-    "TrainConfig",
-    "StepReport",
-    "TrainResult",
-    "AdamState",
-    "bt_loss",
-    "center_loss",
-    "total_loss",
-    "lr_at_step",
-    "clip_gradients",
-    "optimizer_step",
-    "train",
-    "ScoredPair",
-    "Aggregates",
-    "EvalReport",
-    "AgreementRow",
-    "pairwise_accuracy",
-    "aggregate",
-    "distribution_stats",
-    "agreement_stats",
-    "confidence_buckets",
-    "build_report",
-    "run_gradcheck",
-]
+# Every public name above but the submodules that the imports bind.
+__all__ = ["__version__"] + [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType)]

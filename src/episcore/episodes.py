@@ -175,10 +175,7 @@ class PreferencePair:
     split: str
 
     def __post_init__(self):
-        _check_choice("split", self.split, SPLITS)
-        codes = validate_pair(self.chosen, self.rejected)
-        if codes:
-            raise InvariantError(codes, message=f"pair {self.pair_id}")
+        _check_pair(self)
 
     @property
     def source_tier(self) -> str:
@@ -251,6 +248,14 @@ def _alternates_two_speakers(turns: list[Turn]) -> bool:
     if a == b:
         return False
     return all(t.speaker_id == (a if i % 2 == 0 else b) for i, t in enumerate(turns))
+
+
+def _check_pair(pair: PreferencePair) -> None:
+    """A pair's own rules, which it may break once built: its split, then INVARIANT_ERROR for :func:`validate_pair`."""
+    _check_choice("split", pair.split, SPLITS)
+    codes = validate_pair(pair.chosen, pair.rejected)
+    if codes:
+        raise InvariantError(codes, message=f"pair {pair.pair_id}")
 
 
 def validate_pair(chosen: Episode, rejected: Episode) -> list[str]:
@@ -622,14 +627,14 @@ def write_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
     Rewriting the same pairs produces byte-identical files. Before writing
     anything, raises DUPLICATE_ID when two pairs share a pair_id,
     SHAPE_MISMATCH when the turns' ``d_in`` differ, and ValueError when a
-    split is not in ``SPLITS`` or a side breaks :func:`_check_written`.
+    pair breaks :func:`_check_pair` or a side breaks :func:`_check_written`.
     """
     seen: set[str] = set()
     for pair in pairs:
         _claim_id(seen, pair.pair_id, "pair_id")
-        _check_choice("split", pair.split, SPLITS)
         _check_written(pair.chosen)
         _check_written(pair.rejected)
+        _check_pair(pair)
     turns = [turn for pair in pairs for turn in (*pair.chosen.turns, *pair.rejected.turns)]
     d_ins = {turn.d_in for turn in turns}
     if len(d_ins) > 1:

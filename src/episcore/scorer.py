@@ -16,30 +16,34 @@ Every non-criterion row is encoded as h = tanh(W_enc f + b_enc), the
 sequence is pooled (last / mean / attention), and a one-hidden-layer tanh
 MLP maps the pooled vector to a scalar reward.
 
-The layout is stated once, by :class:`RowTable`: it keeps each kept
-frame row once at its file precision (float32) and each distinct token
-embedding once (float64), plus the table row of each position of each
-episode's sequence, and builds the float64 rows of any batch of its
-episodes with one gather. Scoring takes one input type, a
-ragged :class:`EpisodeBatch` (segment starts derive from lengths):
-:func:`pack_episodes` is the table batch of a list of episodes,
-:func:`score_batch` scores a batch in one forward pass, and
+The layout is the model's definition, stated once by :class:`RowTable`:
+it keeps each kept frame row once at its file precision (float32) and
+each distinct token embedding once (float64), plus the row at each
+position of each sequence; :func:`episode_input_matrix` gives one
+episode's rows. The model has no positional input, so a reward depends
+on a sequence only through the multiset of its rows, and a batch holds
+its distinct rows with token counts. Scoring takes one input type, a
+ragged :class:`EpisodeBatch` gathered from a table: per episode its
+sequence's rows, less those of the tokens that the batch uses often
+enough to pay for a count column, plus each of those tokens once, with
+its count in each episode. :func:`score_batch` encodes each of these
+rows once and pools counted tokens by their counts, and
 :func:`backward_batch` produces exact gradients of any weighted sum of
-their rewards w.r.t. every parameter tensor, which the test suite
+the rewards w.r.t. every parameter tensor, which the test suite
 verifies against central finite differences. Backward takes only what
-the forward pass produced: its :class:`Activations` hold the encoded rows
-(``h``), the pooled vector, the pooling mode and the params that scored,
-and the gradients are taken at those params. :func:`score` and
-:func:`backward` are the same code on a batch of one.
+the forward pass produced (:class:`Activations`), and the gradients are
+taken at the params that scored. :func:`score` and :func:`backward` are
+the same code on a batch of one (:func:`pack_episodes`).
 
 Parameters and gradients each live in one float64 vector whose named
 tensors are views of it (:class:`ScorerParams`).
 
 All arithmetic is float64 for clean gradient checks. Determinism: the
 same params and the same batch composition (the same episodes, criteria
-and order) give bitwise-identical rewards and gradients. The same episode
-scored as a batch of one and inside a larger batch agrees within 1e-15,
-not bitwise.
+and order) give bitwise-identical rewards and gradients, whichever table
+the batch was gathered from. The same episode scored as a batch of one
+and inside a larger batch agrees within 1e-15, not bitwise, and so does
+a reward with the row-by-row sum over its whole sequence.
 """
 
 from __future__ import annotations
@@ -177,7 +181,8 @@ def token_embedding(token: str, d_in: int) -> np.ndarray:
 
 def episode_input_matrix(episode: Episode, cfg: ScorerConfig) -> np.ndarray:
     """The non-criterion input rows of an episode, in layout order."""
-    return pack_episodes([episode], [Criterion.MODALITY], cfg).x[1:]
+    table = RowTable.build([(episode, Criterion.MODALITY)], cfg)
+    return np.concatenate([table.frames, table.tokens])[table.row_of[1:]]
 
 
 def _segment_starts(lengths: np.ndarray) -> np.ndarray:
@@ -186,24 +191,32 @@ def _segment_starts(lengths: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class EpisodeBatch:
-    """The input rows of B episodes, packed for one ragged forward pass.
+    """B episodes, packed for one ragged forward pass as bags of rows.
 
-    Episode i owns the segment ``x[starts[i] : starts[i] + lengths[i]]``:
-    its sequence in the layout of :class:`RowTable`. The segment's first
-    row is a zero placeholder at the position of the criterion row (the
-    encoder output there is replaced by the criterion embedding). So every
-    segment has at least one row, and lengths[i] is the episode's sequence
-    length L. ``starts`` is derived from ``lengths``, so the two cannot
-    disagree.
+    The sequence layout (:class:`RowTable`) is the model's definition, but
+    the model has no positional input, so a batch holds its distinct rows
+    with token counts. Episode i owns the rows ``x[starts[i] : starts[i] +
+    rows[i]]``: its sequence in layout order, less the positions of the
+    tokens that the batch counts. The first is a zero placeholder at the
+    position of the criterion row (the encoder output there is replaced by
+    the criterion embedding), and the last is the sequence's last row, a
+    frame row unless the episode has no turns. Each counted token
+    (:meth:`RowTable.batch` says which) is one row of ``tokens``, occurring
+    ``counts[i, t]`` times in episode i. lengths[i] is the episode's
+    sequence length L = rows[i] + counts[i].sum(). ``starts`` is derived
+    from ``rows``, so the two cannot disagree.
     """
 
-    x: np.ndarray         # (R, d_in) float64, R = lengths.sum()
-    lengths: np.ndarray   # (B,) rows per segment, >= 1
+    x: np.ndarray         # (R, d_in) float64, R = rows.sum()
+    rows: np.ndarray      # (B,) rows of each episode in x, >= 1
+    tokens: np.ndarray    # (T_b, d_in) float64 counted tokens, in order of first use in the batch
+    counts: np.ndarray    # (B, T_b) float64 occurrences of each of them in each sequence
+    lengths: np.ndarray   # (B,) sequence length L of each episode
     criteria: np.ndarray  # (B,) criterion-embedding row of each episode
-    starts: np.ndarray = field(init=False)  # (B,) first row of each segment
+    starts: np.ndarray = field(init=False)  # (B,) first row of each episode in x
 
     def __post_init__(self):
-        self.starts = _segment_starts(self.lengths)
+        self.starts = _segment_starts(self.rows)
 
     def __len__(self) -> int:
         return int(self.lengths.size)
@@ -222,9 +235,10 @@ class RowTable:
     ``len(frames) + k``. Episode i's sequence is the rows ``row_of[starts[i]
     : starts[i] + lengths[i]]`` (int32): the zero row (the criterion
     position), then per turn its token rows and its kept frame rows.
-    :meth:`batch` gathers the sequences of any episodes into float64 rows;
-    widening float32 to float64 is exact, so a batch holds the very values
-    a float64 table would give.
+    :meth:`batch` gathers the rows of any episodes into an
+    :class:`EpisodeBatch` for scorers of width ``d``; widening float32 to
+    float64 is exact, so a batch holds the very values a float64 table
+    would give.
     """
 
     frames: np.ndarray    # (F, d_in) float32: the zero row, then the kept frame rows
@@ -232,6 +246,7 @@ class RowTable:
     row_of: np.ndarray    # (P,) int32 row of each sequence position, episodes back to back
     lengths: np.ndarray   # (E,) sequence length of each episode, >= 1
     criteria: np.ndarray  # (E,) criterion-embedding row of each episode
+    d: int                # the scorer width d, which :meth:`batch` weighs a count column against
     starts: np.ndarray = field(init=False)  # (E,) first position of each episode in row_of
 
     def __post_init__(self):
@@ -273,23 +288,45 @@ class RowTable:
             row_of,
             np.array(lengths, dtype=np.intp),
             np.array(criteria, dtype=np.intp),
+            cfg.d,
         )
 
     def batch(self, index) -> EpisodeBatch:
         """The batch of episodes ``index`` (in that order; repeats allowed).
 
-        One gather from the frame table (token rows clip to its last row),
-        widened to float64; then the token positions are overwritten from
-        the token table."""
+        A token that the B episodes use c times in all is counted, one
+        column of ``counts``, when c * d >= B + d: as rows it costs c
+        encoded rows, each d values wide in every pass, and as a column one
+        encoded row and B count entries. The other positions are gathered
+        as rows in layout order: one gather from the frame table (token
+        rows clip to its last row), widened to float64, then the token rows
+        are overwritten from the token table. Counted tokens are numbered
+        in order of first use in the batch, so its bits do not depend on
+        the table it came from."""
         index = np.asarray(index, dtype=np.intp)
+        b, n_frames = index.size, len(self.frames)
         lengths = self.lengths[index]
         positions = np.repeat(self.starts[index] - _segment_starts(lengths), lengths) + np.arange(int(lengths.sum()))
-        rows = self.row_of[positions]
-        n_frames = len(self.frames)
-        x = self.frames.take(rows, axis=0, mode="clip").astype(np.float64)
-        token_at = np.flatnonzero(rows >= n_frames)
-        x[token_at] = self.tokens.take(rows[token_at] - n_frames, axis=0)
-        return EpisodeBatch(x, lengths, self.criteria[index])
+        row = self.row_of[positions]
+        at = np.flatnonzero(row >= n_frames)  # the token positions
+        ids = row[at] - n_frames
+        counted = np.bincount(ids)[ids] >= -(-(b + self.d) // self.d)  # c * d >= B + d
+        keep = np.ones(row.size, dtype=bool)
+        keep[at[counted]] = False
+        owners = np.repeat(np.arange(b), lengths)[~keep]  # the episode of each counted use
+        row = row[keep]
+        rows = lengths - np.bincount(owners, minlength=b)
+        x = self.frames.take(row, axis=0, mode="clip").astype(np.float64)
+        x[np.flatnonzero(row >= n_frames)] = self.tokens.take(ids[~counted], axis=0)
+        ids = ids[counted]
+        k = np.arange(ids.size)
+        local = np.full(ids.max(initial=-1) + 1, ids.size)
+        np.minimum.at(local, ids, k)  # the first use of each token
+        used = ids[local[ids] == k]  # the counted tokens, in order of first use
+        local[used] = np.arange(used.size)
+        counts = np.bincount(owners * used.size + local[ids], minlength=b * used.size)
+        counts = counts.reshape(b, used.size).astype(np.float64)
+        return EpisodeBatch(x, rows, self.tokens.take(used, axis=0), counts, lengths, self.criteria[index])
 
 
 def pack_episodes(episodes: list[Episode], criteria: list[Criterion], cfg: ScorerConfig) -> EpisodeBatch:
@@ -308,8 +345,9 @@ class Activations:
     """Cached intermediates of one batched forward pass, consumed by backward_batch()."""
 
     batch: EpisodeBatch
-    h: np.ndarray            # (R, d) encoded rows; criterion embeddings at batch.starts
-    attention: np.ndarray | None  # (R,) attention-pooling weights; None for last and mean
+    h: np.ndarray            # (R, d) encoded rows of batch.x; criterion embeddings at batch.starts
+    ht: np.ndarray           # (T_b, d) encoded counted tokens of batch.tokens
+    attention: tuple[np.ndarray, np.ndarray] | None  # (R,) row and (B, T_b) token weights; None for last, mean
     pooled: np.ndarray       # (B, d)
     a1: np.ndarray           # (B, head_hidden) head hidden activation
     r: np.ndarray            # (B,) rewards
@@ -317,56 +355,61 @@ class Activations:
     params: ScorerParams     # the params that scored; backward_batch() differentiates at them
 
 
-def _encode(batch: EpisodeBatch, cfg: ScorerConfig, params: ScorerParams) -> np.ndarray:
-    check_shapes(cfg, params)
-    if batch.x.shape[1] != cfg.d_in:
-        raise ShapeMismatchError(f"inputs have d_in={batch.x.shape[1]}, config expects {cfg.d_in}")
-    h = batch.x @ params.w_enc.T
+def _encode(x: np.ndarray, params: ScorerParams) -> np.ndarray:
+    h = x @ params.w_enc.T
     h += params.b_enc
-    np.tanh(h, out=h)
-    h[batch.starts] = params.e_crit[batch.criteria]
-    return h
+    return np.tanh(h, out=h)
 
 
-def _segment_pool(
-    h: np.ndarray, starts: np.ndarray, lengths: np.ndarray, mode: str, params: ScorerParams
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Pool every segment of ``h`` to one row; also return the attention
-    weights (None for last and mean pooling).
+def _pool(
+    h: np.ndarray, ht: np.ndarray, batch: EpisodeBatch, mode: str, params: ScorerParams
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Pool every sequence to one row, each token row counted as often as it
+    occurs; also return the attention weights (None for last and mean).
 
-    last: the segment's last row. mean: the arithmetic mean of its rows.
-    attention: softmax(H q / sqrt(d)) weights over its rows. With q = 0 the
-    weights are exactly uniform, so attention pooling reproduces mean
-    pooling bit for bit.
+    last: the sequence's last row, which is the last of its rows in the
+    batch. mean: the arithmetic mean of its rows. attention: softmax(row .
+    q / sqrt(d)) weights over its rows. With q = 0 the weights are exactly
+    uniform, so attention pooling reproduces mean pooling bit for bit.
     """
+    starts, rows, counts = batch.starts, batch.rows, batch.counts
     if mode == "last":
-        return h[starts + lengths - 1], None
+        return h[starts + rows - 1], None
     if mode == "mean":
-        return np.add.reduceat(h, starts, axis=0) / lengths[:, None], None
+        return (np.add.reduceat(h, starts, axis=0) + counts @ ht) / batch.lengths[:, None], None
     if mode == "attention":
-        z = h @ params.q / math.sqrt(h.shape[1])
-        z -= np.repeat(np.maximum.reduceat(z, starts), lengths)
-        e = np.exp(z, out=z)
-        esum = np.add.reduceat(e, starts)
-        pooled = np.add.reduceat(e[:, None] * h, starts, axis=0) / esum[:, None]
-        return pooled, e / np.repeat(esum, lengths)
+        root_d = math.sqrt(h.shape[1])
+        z = h @ params.q / root_d
+        zt = np.where(counts > 0, ht @ params.q / root_d, -np.inf)  # only the tokens a sequence holds
+        m = np.maximum(np.maximum.reduceat(z, starts), zt.max(axis=1, initial=-np.inf))
+        e = np.exp(z - np.repeat(m, rows))
+        et = counts * np.exp(zt - m[:, None])
+        esum = np.add.reduceat(e, starts) + et.sum(axis=1)
+        pooled = (np.add.reduceat(e[:, None] * h, starts, axis=0) + et @ ht) / esum[:, None]
+        return pooled, (e / np.repeat(esum, rows), et / esum[:, None])
     raise ValueError(f"unknown pooling {mode!r}")
 
 
 def score_batch(batch: EpisodeBatch, cfg: ScorerConfig, params: ScorerParams) -> Activations:
     """Rewards of every episode of ``batch`` (``.r``) in one forward pass.
 
-    The encoder is one matmul over all rows, pooling reduces each segment,
-    and the head runs on all pooled rows at once. Bitwise reproducible for
-    the same params and batch composition; an episode scored in a batch of
-    one and inside a larger batch agrees within 1e-15, not bitwise (the
-    matmul kernels may sum in another order for another row count).
+    The encoder is one matmul over the batch's rows and one over the
+    tokens it counts, pooling reduces each sequence, and the head runs on
+    all pooled rows at once. Bitwise reproducible for the same params and
+    batch composition; an episode scored in a batch of one and inside a
+    larger batch agrees within 1e-15, not bitwise (sums run in another
+    order for another batch).
     """
-    h = _encode(batch, cfg, params)
-    pooled, attention = _segment_pool(h, batch.starts, batch.lengths, cfg.pooling, params)
+    check_shapes(cfg, params)
+    if batch.x.shape[1] != cfg.d_in:
+        raise ShapeMismatchError(f"inputs have d_in={batch.x.shape[1]}, config expects {cfg.d_in}")
+    h = _encode(batch.x, params)
+    h[batch.starts] = params.e_crit[batch.criteria]
+    ht = _encode(batch.tokens, params)
+    pooled, attention = _pool(h, ht, batch, cfg.pooling, params)
     a1 = np.tanh(pooled @ params.w1.T + params.b1)
     r = a1 @ params.w2[0] + params.b2[0]
-    return Activations(batch, h, attention, pooled, a1, r, cfg.pooling, params)
+    return Activations(batch, h, ht, attention, pooled, a1, r, cfg.pooling, params)
 
 
 def score(
@@ -390,8 +433,8 @@ def backward_batch(acts: Activations, upstream: np.ndarray) -> ScorerParams:
     :func:`episcore.training.optimizer_step` does), never by writing into
     these ones between the two passes."""
     u = np.asarray(upstream, dtype=np.float64)
-    batch, h, params = acts.batch, acts.h, acts.params
-    starts, lengths = batch.starts, batch.lengths
+    batch, h, ht, params = acts.batch, acts.h, acts.ht, acts.params
+    starts, rows, counts = batch.starts, batch.rows, batch.counts
 
     grads = zeros_like_params(params)
 
@@ -403,25 +446,34 @@ def backward_batch(acts: Activations, upstream: np.ndarray) -> ScorerParams:
     grads.w2[0] = u @ acts.a1
     grads.b2[0] = u.sum()
 
-    # Pooling: each segment's upstream row is broadcast over its rows.
+    # Pooling: each sequence's upstream row is broadcast over its rows (dh)
+    # and over its counted tokens, summed over every use of each (dht).
     if acts.pooling == "last":
         dh = np.zeros_like(h)
-        dh[starts + lengths - 1] = dpooled
+        dh[starts + rows - 1] = dpooled
+        dht = np.zeros_like(ht)
     elif acts.pooling == "mean":
-        dh = np.repeat(dpooled / lengths[:, None], lengths, axis=0)
+        dpooled /= batch.lengths[:, None]
+        dh = np.repeat(dpooled, rows, axis=0)
+        dht = counts.T @ dpooled
     else:
         # p = sum_i w_i h_i with w = softmax(z), z_i = h_i . q / sqrt(d).
-        w = acts.attention
+        w, wt = acts.attention
         scale = 1.0 / math.sqrt(h.shape[1])
-        dh = np.repeat(dpooled, lengths, axis=0)
+        dh = np.repeat(dpooled, rows, axis=0)
         dw = np.einsum("ij,ij->i", h, dh)
-        dz = w * (dw - np.repeat(np.add.reduceat(w * dw, starts), lengths))
+        dwt = dpooled @ ht.T
+        wdw = np.add.reduceat(w * dw, starts) + np.einsum("ij,ij->i", wt, dwt)
+        dz = w * (dw - np.repeat(wdw, rows))
+        dzt = np.einsum("ij->j", wt * (dwt - wdw[:, None]))
         dh *= w[:, None]
         dh += np.outer(dz, params.q) * scale
-        grads.q[...] = scale * (dz @ h)
+        dht = wt.T @ dpooled + np.outer(dzt, params.q) * scale
+        grads.q[...] = scale * (dz @ h + dzt @ ht)
 
-    # Criterion rows pass through the encoder unchanged.
-    np.add.at(grads.e_crit, batch.criteria, dh[starts])
+    # Criterion rows pass through the encoder unchanged: one product sums
+    # each criterion's rows.
+    grads.e_crit[...] = (batch.criteria == np.arange(len(params.e_crit))[:, None]) @ dh[starts]
 
     # Body rows: h = tanh(w_enc x + b_enc). The derivative 1 - h^2 is
     # formed in one buffer: this is the largest temporary of a step.
@@ -429,8 +481,9 @@ def backward_batch(acts: Activations, upstream: np.ndarray) -> ScorerParams:
     np.subtract(1.0, dtanh, out=dtanh)
     dh *= dtanh
     dh[starts] = 0.0
-    grads.w_enc[...] = dh.T @ batch.x
-    grads.b_enc[...] = dh.sum(axis=0)
+    dht *= 1.0 - ht**2
+    grads.w_enc[...] = dh.T @ batch.x + dht.T @ batch.tokens
+    grads.b_enc[...] = np.einsum("ij->j", dh) + np.einsum("ij->j", dht)
     return grads
 
 

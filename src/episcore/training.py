@@ -115,12 +115,10 @@ def center_loss(r_plus, r_minus):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e = e^-|x|:
+    # neither branch overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -168,8 +166,9 @@ def score_pairs(table: RowTable, cfg: ScorerConfig, params: ScorerParams) -> tup
 
 def _objective(r_chosen: np.ndarray, r_rejected: np.ndarray, lambda_center: float) -> tuple[float, float, float]:
     """(total, ranking term, centering term) of the objective above."""
-    loss_pref = float(np.mean(bt_loss(r_chosen, r_rejected)))
-    loss_center = float(np.mean(center_loss(r_chosen, r_rejected)))
+    n = r_chosen.size
+    loss_pref = float(bt_loss(r_chosen, r_rejected).sum() / n)
+    loss_center = float(center_loss(r_chosen, r_rejected).sum() / n)
     return loss_pref + lambda_center * loss_center, loss_pref, loss_center
 
 
@@ -345,9 +344,9 @@ def train(
             loss_total=result.value,
             grad_norm_preclip=preclip,
             lr=lr,
-            mean_chosen_r=float(result.r_chosen.mean()),
-            mean_rejected_r=float(result.r_rejected.mean()),
-            batch_margin=float((result.r_chosen - result.r_rejected).mean()),
+            mean_chosen_r=float(result.r_chosen.sum() / bs),
+            mean_rejected_r=float(result.r_rejected.sum() / bs),
+            batch_margin=float((result.r_chosen - result.r_rejected).sum() / bs),
         )
 
         if has_val and (step % cfg.eval_every == 0 or step == cfg.total_steps):

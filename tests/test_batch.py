@@ -1,5 +1,7 @@
 """The batched scorer against the batch-of-one path, and the batched loss."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from episcore.cli import main
 from episcore.evaluation import read_scores
 from episcore.gradcheck import relative_error
 from episcore.training import SCORE_CHUNK, evaluate_loss, pair_batch, pair_table, score_pairs
+
+from conftest import sequence_oracle, sequence_rows
 
 VOCAB = ["yeah", "so", "okay", "right", "well", "um"]
 
@@ -56,25 +60,6 @@ def test_batched_scores_and_gradients_match_batch_of_one(case, seed):
             np.testing.assert_allclose(getattr(grads, name), want, rtol=0, atol=1e-12, err_msg=name)
 
 
-def parent_pack(episodes, criteria, cfg):
-    """The packing that preceded ``RowTable``: per turn a token block and a
-    frame block, then one concatenation of every block."""
-    placeholder = np.zeros((1, cfg.d_in))
-    blocks, lengths = [np.zeros((0, cfg.d_in))], []
-    for ep in episodes:
-        blocks.append(placeholder)
-        lengths.append(1)
-        for turn in ep.turns:
-            tokens = [sc.token_embedding(tok, cfg.d_in) for tok in sc.tokenize(turn.transcript)]
-            if tokens:
-                blocks.append(np.array(tokens))
-            frames = turn.features[: cfg.max_frames_per_turn]
-            blocks.append(frames)
-            lengths[-1] += len(tokens) + len(frames)
-    x = np.concatenate(blocks, dtype=np.float64)
-    return sc.EpisodeBatch(x, np.array(lengths, dtype=np.intp), np.array([c.index for c in criteria], dtype=np.intp))
-
-
 @st.composite
 def pair_sets_and_indices(draw):
     """0-5 pairs of 1-3 turns a side, 1-70 frames and 0-4 words a turn
@@ -106,22 +91,71 @@ def pair_sets_and_indices(draw):
     return d_in, pairs, index
 
 
+def layout_rows(episodes, cfg):
+    """What a batch of ``episodes`` holds, read off their sequences
+    (:func:`sequence_rows`): per episode its rows, less those of the
+    tokens that the batch counts; the counted tokens' rows, in order of
+    first use; and each episode's count of each. A token used c times by
+    the B episodes is counted when c * d >= B + d."""
+    words = {sc.token_embedding(tok, cfg.d_in).tobytes() for ep in episodes for turn in ep.turns
+             for tok in sc.tokenize(turn.transcript)}
+    sequences = [[row.tobytes() for row in sequence_rows(ep, cfg)] for ep in episodes]
+    uses = Counter(row for seq in sequences for row in seq if row in words)
+    counted = [row for row in uses if uses[row] * cfg.d >= len(episodes) + cfg.d]
+    rows = [np.frombuffer(b"".join(row for row in seq if row not in counted)).reshape(-1, cfg.d_in)
+            for seq in sequences]
+    tokens = np.frombuffer(b"".join(counted)).reshape(-1, cfg.d_in)
+    return rows, tokens, [[seq.count(row) for row in counted] for seq in sequences]
+
+
 @given(pair_sets_and_indices(), st.integers(1, 60), st.integers(0, 2**31 - 1))
 @settings(max_examples=80, deadline=None)
-def test_table_batches_equal_the_parent_packing_bit_for_bit(case, max_frames, seed):
+def test_table_batches_hold_the_layout_rows_and_score_as_the_oracle(case, max_frames, seed):
     d_in, pairs, index = case
-    chosen, rejected = [pairs[i].chosen for i in index], [pairs[i].rejected for i in index]
+    episodes = [pairs[i].chosen for i in index] + [pairs[i].rejected for i in index]
+    criteria = [pairs[i].criterion for i in index] * 2
     for mode in sc.POOLING_MODES:
         cfg = ScorerConfig(d_in=d_in, d=4, pooling=mode, head_hidden=3, max_frames_per_turn=max_frames)
         got = pair_batch(pair_table(pairs, cfg), index)
-        want = parent_pack(chosen + rejected, [pairs[i].criterion for i in index] * 2, cfg)
-        assert got.x.shape == want.x.shape == (int(want.lengths.sum()), d_in)
-        assert got.x.tobytes() == want.x.tobytes()
-        for field in ("lengths", "criteria", "starts"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        rows, tokens, counts = layout_rows(episodes, cfg)
+        assert got.x.tobytes() == b"".join(rs.tobytes() for rs in rows)
+        assert got.rows.tolist() == [len(rs) for rs in rows]
+        assert got.starts.tolist() == (np.cumsum(got.rows) - got.rows).tolist()
+        assert got.tokens.tobytes() == tokens.tobytes() and got.counts.tolist() == counts
+        assert got.criteria.tolist() == [c.index for c in criteria]
         if index:
             params = init_params(cfg, seed=seed)
-            assert sc.score_batch(got, cfg, params).r.tobytes() == sc.score_batch(want, cfg, params).r.tobytes()
+            r = sc.score_batch(got, cfg, params).r
+            oracle = [sequence_oracle(ep, crit, cfg, params) for ep, crit in zip(episodes, criteria)]
+            assert got.lengths.tolist() == [len(o[0]) for o in oracle]
+            np.testing.assert_allclose(r, [o[3] for o in oracle], rtol=0, atol=1e-15)
+
+
+@given(pair_sets_and_indices(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_a_batch_does_not_depend_on_its_table(case, random):
+    # The same pairs gathered from their own table, from a table of a
+    # superset and from one of a reordered superset give the same bits.
+    d_in, pairs, index = case
+    shuffled = random.sample(range(len(pairs)), len(pairs))
+    for mode in sc.POOLING_MODES:
+        cfg = ScorerConfig(d_in=d_in, d=4, pooling=mode, head_hidden=3)
+        batches = [
+            pair_batch(pair_table([pairs[i] for i in index], cfg), range(len(index))),
+            pair_batch(pair_table(pairs, cfg), index),
+            pair_batch(pair_table([pairs[i] for i in shuffled], cfg), [shuffled.index(i) for i in index]),
+        ]
+        for batch in batches[1:]:
+            for field in ("x", "rows", "tokens", "counts", "lengths", "criteria"):
+                assert getattr(batch, field).tobytes() == getattr(batches[0], field).tobytes(), field
+        if index:
+            params = init_params(cfg, seed=len(index))
+            want, *others = (total_loss(batch, cfg, params, lambda_center=0.1) for batch in batches)
+            for got in others:
+                assert (got.value, got.r_chosen.tobytes(), got.r_rejected.tobytes()) == (
+                    want.value, want.r_chosen.tobytes(), want.r_rejected.tobytes()
+                )
+                assert got.grads.flat.tobytes() == want.grads.flat.tobytes()
 
 
 def test_table_keeps_each_kept_frame_and_each_distinct_token_once():
@@ -135,8 +169,22 @@ def test_table_keeps_each_kept_frame_and_each_distinct_token_once():
     assert np.array_equal(table.tokens, [sc.token_embedding("yeah", 3), sc.token_embedding("so", 3)])
     assert table.row_of.dtype == np.int32 and table.row_of[: table.lengths[0]].tolist() == [0, 7, 7, 8, 1, 2, 8, 3]
     assert table.lengths.tolist() == [8, 8] and table.criteria.tolist() == [1, 1]
-    x = table.batch([0]).x
-    assert x.dtype == np.float64 and np.array_equal(x[1:4], table.tokens[[0, 0, 1]])
+    batch = table.batch([0])  # each token is used twice: held once, with its count
+    assert batch.x.dtype == np.float64 and np.array_equal(batch.x, [[0, 0, 0]] + kept)
+    assert np.array_equal(batch.tokens, table.tokens) and batch.counts.tolist() == [[2.0, 2.0]]
+
+
+def test_a_token_is_counted_once_its_uses_pay_for_its_column():
+    # B = 4 episodes and d = 2: a token is counted from 3 uses (3 * 2 >= 4 + 2).
+    cfg = ScorerConfig(d_in=3, d=2, max_frames_per_turn=1)
+    episodes = [Episode(f"e{i}", [Turn("a", words, 1.0, np.full((1, 3), i))], "wild")
+                for i, words in enumerate(["a a b", "b c", "a", ""])]
+    batch = sc.pack_episodes(episodes, [Criterion.MODALITY] * 4, cfg)
+    a, b, c = (sc.token_embedding(word, 3) for word in "abc")
+    assert np.array_equal(batch.tokens, [a]) and batch.counts.tolist() == [[2.0], [0.0], [1.0], [0.0]]
+    # Rows in layout order (a turn's tokens precede its frames), less the counted "a".
+    assert batch.rows.tolist() == [3, 4, 2, 2] and batch.lengths.tolist() == [5, 4, 3, 2]
+    assert np.array_equal(batch.x[[1, 4, 5]], [b, b, c])
 
 
 def test_table_batch_gathers_the_same_rows_as_packing_those_pairs():
@@ -144,26 +192,26 @@ def test_table_batch_gathers_the_same_rows_as_packing_those_pairs():
     cfg = ScorerConfig(d_in=8, max_frames_per_turn=5)
     taken = pair_batch(pair_table(pairs, cfg), [3, 0, 3])
     packed = pair_batch(pair_table([pairs[3], pairs[0], pairs[3]], cfg), range(3))
-    for field in ("x", "starts", "lengths", "criteria"):
+    for field in ("x", "starts", "rows", "tokens", "counts", "lengths", "criteria"):
         assert np.array_equal(getattr(taken, field), getattr(packed, field)), field
 
 
-def test_table_batches_match_packing_and_starts_derive_from_lengths():
+def test_table_batches_match_packing_and_starts_derive_from_sizes():
     pairs = synth_pairs(synth_config(seed=3), 5)
     cfg = ScorerConfig(d_in=8, max_frames_per_turn=5)
     episodes, criteria = [p.chosen for p in pairs], [p.criterion for p in pairs]
     table = sc.RowTable.build(zip(episodes, criteria), cfg)
     taken = table.batch([3, 4, 3, 1])
     packed = sc.pack_episodes([episodes[i] for i in (3, 4, 3, 1)], [criteria[i] for i in (3, 4, 3, 1)], cfg)
-    for field in ("x", "starts", "lengths", "criteria"):
+    for field in ("x", "starts", "rows", "tokens", "counts", "lengths", "criteria"):
         assert np.array_equal(getattr(taken, field), getattr(packed, field)), field
-    for batch in (table, taken):
-        assert np.array_equal(batch.starts, np.cumsum(batch.lengths) - batch.lengths)
+    for starts, sizes in (table.starts, table.lengths), (taken.starts, taken.rows):
+        assert np.array_equal(starts, np.cumsum(sizes) - sizes)
 
 
 def test_packing_no_episodes_gives_an_empty_batch():
     batch = sc.pack_episodes([], [], ScorerConfig(d_in=6))
-    assert len(batch) == 0 and batch.x.shape == (0, 6)
+    assert len(batch) == 0 and batch.x.shape == batch.tokens.shape == (0, 6) and batch.counts.shape == (0, 0)
 
 
 @pytest.mark.parametrize("mode", sc.POOLING_MODES)

@@ -117,13 +117,15 @@ def test_outputs_keep_their_bytes_under_one_and_two_blas_threads(tmp_path):
     # 40 val pairs: ``score`` pages them in two chunks, and train validation scores them in two passes.
     for threads in (1, 2):
         root = tmp_path / f"blas-{threads}"
-        _run_threaded(root / "e2e", threads, "e2e", "--pooling", "attention", "--n-train", 64, "--n-val", 40,
-                      "--steps", 30)
+        for pooling in ("attention", "mean"):
+            _run_threaded(root / f"e2e-{pooling}", threads, "e2e", "--pooling", pooling, "--n-train", 64,
+                          "--n-val", 40, "--steps", 30)
         _run_threaded(root / "gradcheck", threads, "gradcheck", "--draws", 3)
     one, two = (
         {path.relative_to(tmp_path / run).as_posix(): path.read_bytes() for path in (tmp_path / run).rglob("*")
          if path.is_file()}
         for run in ("blas-1", "blas-2")
     )
-    assert {"e2e/val-scores.jsonl", "e2e/best.ckpt", "gradcheck/gradcheck-report.json"} <= one.keys()
+    assert {f"e2e-{pooling}/{name}" for pooling in ("attention", "mean") for name in ("val-scores.jsonl", "best.ckpt")
+            } | {"gradcheck/gradcheck-report.json"} <= one.keys()
     assert one == two

@@ -13,7 +13,7 @@ from episcore import Criterion, Episode, ScorerConfig, Turn, init_params, score
 from episcore.errors import CheckpointError, ShapeMismatchError
 from episcore.scorer import load_checkpoint, save_checkpoint, zeros_like_params
 
-from conftest import make_episode, make_turn
+from conftest import make_episode, make_turn, oracle_pool, sequence_oracle
 
 D_IN = 4
 
@@ -24,17 +24,28 @@ def one_turn_episode(n_frames=3, transcript="hello there", d_in=D_IN):
 
 class TestLayout:
     def test_sequence_length_formula(self):
-        # 1 criterion row + 2 text tokens + 3 audio frames
+        # 1 criterion row + 3 text tokens + 3 audio frames. The batch holds
+        # the criterion and frame rows, a token used once as a row, and a
+        # token used twice once, with its count.
         cfg = ScorerConfig(d_in=D_IN)
         params = init_params(cfg, seed=0)
-        h = score(one_turn_episode(), Criterion.MODALITY, cfg, params)[1].h
-        assert h.shape == (6, cfg.d)
+        ep = one_turn_episode(transcript="hello there hello")
+        r, acts = score(ep, Criterion.MODALITY, cfg, params)
+        x, h, _, want = sequence_oracle(ep, Criterion.MODALITY, cfg, params)
+        assert x.shape == (7, D_IN) and h.shape == (7, cfg.d)
+        assert acts.batch.lengths.tolist() == [7] and acts.h.shape == (5, cfg.d)
+        assert acts.batch.rows.tolist() == [5]
+        assert acts.batch.counts.tolist() == [[2.0]] and acts.ht.shape == (1, cfg.d)
+        assert r == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_per_turn_truncation(self):
         cfg = ScorerConfig(d_in=D_IN, max_frames_per_turn=2)
         params = init_params(cfg, seed=0)
-        h = score(one_turn_episode(n_frames=9), Criterion.MODALITY, cfg, params)[1].h
-        assert h.shape[0] == 1 + 2 + 2
+        r, acts = score(one_turn_episode(n_frames=9), Criterion.MODALITY, cfg, params)
+        x, _, _, want = sequence_oracle(one_turn_episode(n_frames=9), Criterion.MODALITY, cfg, params)
+        assert len(x) == acts.batch.lengths[0] == 1 + 2 + 2
+        assert acts.batch.rows[0] == acts.h.shape[0] == 1 + 2 + 2
+        assert r == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_text_tokens_precede_audio_within_a_turn(self):
         cfg = ScorerConfig(d_in=D_IN)
@@ -64,10 +75,14 @@ class TestLayout:
         cfg = ScorerConfig(d_in=D_IN)
         params = init_params(cfg, seed=0)
         ep = make_episode(4)
-        ha = score(ep, Criterion.MODALITY, cfg, params)[1].h
-        hb = score(ep, Criterion.COLLOQUIALNESS, cfg, params)[1].h
+        ha = sequence_oracle(ep, Criterion.MODALITY, cfg, params)[1]
+        hb = sequence_oracle(ep, Criterion.COLLOQUIALNESS, cfg, params)[1]
         assert not np.array_equal(ha[0], hb[0])
         assert np.array_equal(ha[1:], hb[1:])
+        acts_a = score(ep, Criterion.MODALITY, cfg, params)[1]
+        acts_b = score(ep, Criterion.COLLOQUIALNESS, cfg, params)[1]
+        assert np.array_equal(acts_a.h[0], ha[0]) and np.array_equal(acts_b.h[0], hb[0])
+        assert np.array_equal(acts_a.h[1:], acts_b.h[1:]) and np.array_equal(acts_a.ht, acts_b.ht)
 
     def test_d_in_mismatch_raises(self):
         cfg = ScorerConfig(d_in=D_IN + 1)
@@ -81,9 +96,14 @@ class TestLayout:
             score(make_episode(2), Criterion.MODALITY, ScorerConfig(d_in=D_IN), params)
 
 
-def pool_one(h, mode, params):
-    """Pool the rows of ``h`` as one segment."""
-    pooled, _ = sc._segment_pool(h, np.array([0]), np.array([h.shape[0]]), mode, params)
+def pool_one(h, mode, params, ht=None, counts=()):
+    """Pool the rows of ``h`` and the token rows ``ht``, token t
+    ``counts[t]`` times, as one sequence."""
+    ht = np.zeros((0, h.shape[1])) if ht is None else np.asarray(ht, dtype=float)
+    counts = np.array([counts], dtype=float).reshape(1, len(ht))
+    n = np.array([len(h)])
+    batch = sc.EpisodeBatch(np.zeros((len(h), 1)), n, ht, counts, n + int(counts.sum()), np.array([0]))
+    pooled, _ = sc._pool(h, ht, batch, mode, params)
     return pooled[0]
 
 
@@ -91,16 +111,34 @@ class TestPool:
     def test_mean_of_two_rows(self):
         params = init_params(ScorerConfig(d_in=1, d=1), seed=0)
         assert pool_one(np.array([[1.0], [3.0]]), "mean", params) == np.array([2.0])
+        assert pool_one(np.array([[1.0]]), "mean", params, ht=[[3.0]], counts=[1]) == np.array([2.0])
+        assert pool_one(np.array([[1.0]]), "mean", params, ht=[[3.0], [4.0]], counts=[2, 0]) == np.array([7.0 / 3.0])
 
     def test_last_takes_last_unmasked(self):
         params = init_params(ScorerConfig(d_in=1, d=1), seed=0)
         assert pool_one(np.array([[1.0], [3.0], [9.0]]), "last", params) == np.array([9.0])
+        # A sequence's last row is a frame row, never a token row.
+        assert pool_one(np.array([[1.0], [9.0]]), "last", params, ht=[[3.0]], counts=[2]) == np.array([9.0])
+
+    @pytest.mark.parametrize("mode", ["mean", "attention"])
+    def test_token_counts_pool_as_the_whole_sequence_does(self, mode):
+        params = init_params(ScorerConfig(d_in=D_IN), seed=1)
+        rng = np.random.default_rng(4)
+        h, ht = rng.standard_normal((3, params.q.size)), rng.standard_normal((3, params.q.size))
+        counts = [2, 0, 3]
+        sequence = [h[0], ht[0], h[1], ht[2], ht[0], ht[2], ht[2], h[2]]
+        want = oracle_pool(sequence, mode, params.q)
+        np.testing.assert_allclose(pool_one(h, mode, params, ht, counts), want, rtol=0, atol=1e-15)
 
     def test_attention_with_zero_query_equals_mean_bitwise(self):
         params = init_params(ScorerConfig(d_in=D_IN), seed=1)
         params.q[...] = 0.0
+        # Repeated tokens are counted, a token used once in the batch is a row.
+        episodes, criteria = [make_episode(4), one_turn_episode(transcript="so so well")], list(Criterion)
+        batch = sc.pack_episodes(episodes, criteria, ScorerConfig(d_in=D_IN))
+        assert batch.counts.any() and any(np.array_equal(row, sc.token_embedding("well", D_IN)) for row in batch.x)
         pooled = {
-            mode: score(make_episode(4), Criterion.MODALITY, ScorerConfig(d_in=D_IN, pooling=mode), params)[1].pooled
+            mode: sc.score_batch(batch, ScorerConfig(d_in=D_IN, pooling=mode), params).pooled
             for mode in ("attention", "mean")
         }
         assert np.array_equal(pooled["attention"], pooled["mean"])
@@ -138,6 +176,16 @@ class TestScore:
         r2, _ = score(ep, Criterion.MODALITY, cfg, params)
         assert r1 == r2
 
+    @pytest.mark.parametrize("mode", sc.POOLING_MODES)
+    def test_episodes_with_no_turns_or_no_words_score_as_the_oracle(self, mode):
+        cfg = ScorerConfig(d_in=D_IN, pooling=mode)
+        params = init_params(cfg, seed=4)
+        episodes = [Episode("none", [], "wild"), make_episode(2), one_turn_episode(transcript="")]
+        acts = sc.score_batch(sc.pack_episodes(episodes, [Criterion.MODALITY] * 3, cfg), cfg, params)
+        want = [sequence_oracle(ep, Criterion.MODALITY, cfg, params)[3] for ep in episodes]
+        np.testing.assert_allclose(acts.r, want, rtol=0, atol=1e-15)
+        assert np.isfinite(sc.backward_batch(acts, np.ones(3)).flat).all()
+
     def test_golden_values_pinned(self):
         # Frozen regression fixture: synthetic episode seed 123, params seed 77.
         import episcore as ec
@@ -162,9 +210,23 @@ class TestScore:
         ep = make_episode(4)
         _, acts_a = score(ep, Criterion.MODALITY, cfg, params)
         _, acts_b = score(ep, Criterion.COLLOQUIALNESS, cfg, params)
-        L = acts_a.h.shape[0]
+        L = len(sequence_oracle(ep, Criterion.MODALITY, cfg, params)[0])
+        assert L == acts_a.batch.lengths[0] == 1 + 4 * (2 + 3)
         want = (params.e_crit[0] - params.e_crit[1]) / L
         assert np.allclose(acts_a.pooled - acts_b.pooled, want, rtol=0, atol=1e-12)
+
+
+class TestSameBits:
+    """Faster forms of the scorer's arithmetic against the calls they replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 5000), width=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_einsum_column_sums_are_axis_0_sums_bit_for_bit_from_width_2(self, rows, width, seed):
+        # Width 1 is not covered: sum(axis=0) then sums one contiguous run pairwise.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, width)) * np.exp(rng.uniform(-30, 30, width))
+        x[:, rng.integers(0, width)] = -0.0
+        assert np.einsum("ij->j", x).tobytes() == x.sum(axis=0).tobytes()
 
 
 class TestCheckpoint:

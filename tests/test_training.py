@@ -4,8 +4,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import episcore.scorer as sc
 from episcore import (
@@ -24,7 +25,9 @@ from episcore import (
 )
 from episcore.errors import CheckpointError, EmptyBatchError
 from episcore.gradcheck import relative_error
-from episcore.training import AdamState, evaluate_loss, pair_batch, pair_table, score_pairs, warmup_steps
+from episcore.training import (
+    AdamState, _objective, _sigmoid, evaluate_loss, pair_batch, pair_table, score_pairs, warmup_steps,
+)
 
 finite_scores = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -129,6 +132,37 @@ class TestTotalLoss:
                 flat[i] = original
                 fd = (up - down) / (2 * h)
                 assert relative_error(analytic.reshape(-1)[i], fd) < 1e-4, name
+
+
+class TestSameBits:
+    """Faster forms of the loss arithmetic against the calls they replaced."""
+
+    @staticmethod
+    def four_mask_sigmoid(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        e = np.exp(x[~pos])
+        out[~pos] = e / (1.0 + e)
+        return out
+
+    @given(arrays(np.float64, st.integers(0, 300), elements=st.floats(width=64)))
+    @example(np.array([0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 710.0, -710.0, 1e308, -1e308, 5e-324, -5e-324]))
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid_is_the_four_mask_form_bit_for_bit(self, x):
+        got, want = _sigmoid(x), self.four_mask_sigmoid(x)
+        nan = np.isnan(want)  # a NaN in is a NaN out; its payload is not part of the claim
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @given(st.integers(1, 5000), st.integers(0, 2**32 - 1), st.floats(0, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_means_are_sums_over_n_bit_for_bit(self, n, seed, lambda_center):
+        rng = np.random.default_rng(seed)
+        rc, rr = rng.standard_normal((2, n)) * np.exp(rng.uniform(-30, 30, (2, 1)))
+        assert (rc.sum() / n).tobytes() == np.mean(rc).tobytes()
+        loss_pref, loss_center = float(np.mean(bt_loss(rc, rr))), float(np.mean(center_loss(rc, rr)))
+        assert _objective(rc, rr, lambda_center) == (loss_pref + lambda_center * loss_center, loss_pref, loss_center)
 
 
 class TestSchedule:

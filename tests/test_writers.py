@@ -243,6 +243,16 @@ def test_a_field_the_readers_refuse_is_refused_by_the_writers(tmp_path, field):
     _assert_refused_by_the_writers(tmp_path, pair, episode, match=field)
 
 
+@pytest.mark.parametrize("rule", ["TIER_MISMATCH", "TURN_COUNT_MISMATCH"])
+def test_a_pair_whose_sides_no_longer_match_is_refused_by_write_pairs(tmp_path, rule):
+    pair = make_pair(tier="wild")
+    if rule == "TIER_MISMATCH":  # the record stores one source_tier, the chosen side's
+        pair.rejected.source_tier = "scripted"
+    else:
+        pair.rejected.turns.pop()
+    _assert_refused_by_the_writers(tmp_path, pair, None, match=rule)
+
+
 @pytest.mark.parametrize("field, value", [("start_s", math.nan), ("end_s", math.inf), ("end_s", 0.0)])
 def test_a_segment_time_set_after_construction_is_refused_by_write_segments(tmp_path, field, value):
     path = tmp_path / "segments.jsonl"
