@@ -6,7 +6,8 @@ next to each manifest, whose JSONL records carry only metadata. Every turn
 is a row range of a feature file (a pair manifest's shard, or an episode
 manifest's per-turn sidecar), and every layout loads through one reader,
 :class:`_FeatureFiles`. Every file the package writes is committed whole by
-:func:`_replace_file`, except per-turn feature files (:func:`_write_sidecar`).
+:func:`_replace_file`, except per-turn feature files, which
+:func:`_write_sidecar` rewrites in place without truncating them.
 
 All types are plain immutable-by-convention dataclasses; none of them
 enforce the episode-level structural rules at construction time. Those
@@ -277,6 +278,7 @@ def validate_pair(chosen: Episode, rejected: Episode) -> list[str]:
 
 _SIDECAR_HEADER = struct.Struct("<QQ")
 _FRAME_DTYPE = np.dtype("<f4")  # the byte order of feature files, which readinto copies as is
+_POISON = b"\xff" * _SIDECAR_HEADER.size  # rows = d_in = 2**64 - 1: no file is that long, so it reads as FEATURE_IO
 
 
 def _replace_file(path: str | Path, chunks: Iterable) -> None:
@@ -306,10 +308,22 @@ def _feature_chunks(rows: int, d_in: int, blocks: Iterable[np.ndarray]) -> Itera
 
 
 def _write_sidecar(path: str | Path, features: np.ndarray) -> None:
-    """Write a per-turn feature file in place: a curation round writes thousands, and a
-    temporary file plus a rename each halves its throughput (until episode manifests use shards)."""
-    with open(path, "wb") as fh:
-        fh.writelines(_feature_chunks(*features.shape, [features]))
+    """Write a per-turn feature file in place, without truncating it first:
+    a curation round rewrites thousands, a temporary file plus a rename each
+    halves its throughput, and truncation frees the file's blocks, which
+    waits on a disk that discards them. A header that no file size matches
+    (``_POISON``) goes first, then the rows, a truncate to their end (which
+    frees blocks only when the file shrinks), and the real header last, so a
+    rewrite that raises or dies reads as FEATURE_IO, never as a same-size
+    mix of old and new rows."""
+    chunks = _feature_chunks(*features.shape, [features])
+    header = next(chunks)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:  # "wb" on a descriptor does not truncate
+        fh.write(_POISON)
+        fh.writelines(chunks)
+        fh.truncate()
+        fh.seek(0)
+        fh.write(header)
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
@@ -732,7 +746,8 @@ def read_pair_tiers(path: str | Path) -> dict[str, str]:
 def write_episodes(episodes: list[Episode], path: str | Path) -> None:
     """Write an episode manifest plus one sidecar per turn, named
     injectively from (episode_id, turn index) in ``<manifest file
-    name>_features/`` beside it, all written in place before the JSONL.
+    name>_features/`` beside it, all written in place by
+    :func:`_write_sidecar` before the JSONL.
     Once the JSONL is committed, every other file in that directory goes.
     Before writing anything, raises DUPLICATE_ID when two episodes share an
     episode_id, and ValueError when an episode breaks :func:`_check_written`.

@@ -6,7 +6,9 @@ run through ``cli.main`` on fixed seeds, and the sha256 of every file each
 one writes (manifests, shards and sidecars; not ``run-manifest.json``) must
 equal its pinned digest. The digests follow numpy's ``Generator`` streams and
 were taken with numpy 2.4.6, as the golden scores were. A change that means
-to move these bytes updates the digests and says why.
+to move these bytes updates the digests and says why. ``pipeline group`` and
+``filter`` rerun into out-dirs whose sidecars are longer must leave the same
+bytes, and no other file.
 
 ``e2e`` and ``gradcheck`` run in their own interpreters under
 ``OPENBLAS_NUM_THREADS=1`` and ``2``, and every file each one writes must
@@ -27,14 +29,16 @@ from episcore.episodes import Segment, SegmentManifest, write_features, write_se
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _segment_stream(root: Path) -> Path:
-    """A seeded segment manifest of two speakers; one speaker talks twice in a row, and one segment has a NaN."""
+def _segment_stream(root: Path, extra_frames: int = 0) -> Path:
+    """A seeded segment manifest of two speakers; one speaker talks twice in a row, and one segment has a NaN.
+    ``extra_frames`` rows of ones end each segment's frames, and change nothing else."""
     rng = np.random.default_rng(11)
     records, end = [], 0.0
     for i, speaker in enumerate("abababbaabab"):
         start = round(end + float(rng.uniform(0.05, 0.8)), 3)
         end = round(start + float(rng.uniform(0.5, 3.0)), 3)
         feats = np.round(rng.standard_normal((1 + int(end - start), 4)) * 64.0) / 64.0
+        feats = np.concatenate([feats, np.ones((extra_frames, 4))])
         if i == 10:
             feats[0, 1] = np.nan
         write_features(root / "segs" / f"s{i:02d}.f32", feats)
@@ -90,18 +94,35 @@ PINNED = {
 }
 
 
+def _group_and_filter(segments: Path, out: Path) -> None:
+    """``pipeline group`` of ``segments`` into ``out/group``, then ``pipeline filter`` of that into ``out/filter``."""
+    _run("pipeline", "group", "--manifest", segments, "--config", segments.parent / "group.cfg",
+         "--out", "episodes.jsonl", "--out-dir", out / "group")
+    _run("pipeline", "filter", "--in", out / "group" / "episodes.jsonl", "--out", "kept.jsonl",
+         "--rejects", "rejects.jsonl", "--out-dir", out / "filter")
+
+
 def test_outputs_that_use_no_blas_keep_their_bytes(tmp_path):
     segments, out = _segment_stream(tmp_path / "in"), tmp_path / "out"
     (tmp_path / "in" / "train-ids.txt").write_text("synth-00001\nsynth-00004\n", encoding="utf-8")
     _run("synth", "--n", 30, "--split", "val", "--seed", 3, "--out", "p.jsonl", "--out-dir", out / "synth")
-    _run("pipeline", "group", "--manifest", segments, "--config", tmp_path / "in" / "group.cfg",
-         "--out", "episodes.jsonl", "--out-dir", out / "group")
-    _run("pipeline", "filter", "--in", out / "group" / "episodes.jsonl", "--out", "kept.jsonl",
-         "--rejects", "rejects.jsonl", "--out-dir", out / "filter")
+    _group_and_filter(segments, out)
     _run("pipeline", "stratify", "--in", out / "synth" / "p.jsonl", "--cap", 1, "--seed", 5,
          "--train-ids", tmp_path / "in" / "train-ids.txt", "--out", "bench.jsonl", "--out-dir", out / "stratify")
     written = {command: _written(out / command) for command in ("synth", "group", "filter", "stratify")}
     assert written == PINNED
+
+
+def test_a_rerun_over_longer_sidecars_keeps_the_pinned_bytes(tmp_path):
+    # Every sidecar of the first run is longer than the one that replaces it, so each rewrite must cut its file.
+    out = tmp_path / "out"
+    _group_and_filter(_segment_stream(tmp_path / "long", extra_frames=3), out)
+    longer = {path: path.stat().st_size for path in out.rglob("*.f32")}
+    _group_and_filter(_segment_stream(tmp_path / "in"), out)
+    assert all(path.stat().st_size < size for path, size in longer.items())
+    assert {command: _written(out / command) for command in ("group", "filter")} == {
+        command: PINNED[command] for command in ("group", "filter")
+    }
 
 
 def _run_threaded(cwd: Path, threads: int, *argv) -> None:

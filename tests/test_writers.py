@@ -1,22 +1,27 @@
 """One file writer: every file the package writes is committed whole by
 ``episodes._replace_file``, except per-turn feature files, which
-``episodes._write_sidecar`` writes in place.
+``episodes._write_sidecar`` rewrites in place without truncating them.
 
 The structural test parses the package's sources (it runs nothing) and
 fails on any call outside those two functions that writes a file. The
 crash tests make each committed artifact's payload raise mid-write and
-check that the previous file is intact and no temporary file is left.
+check that the previous file is intact and no temporary file is left. The
+sidecar tests check the in-place writer's contract: a rewrite that raises
+reads as FEATURE_IO, and a finished one holds the bytes of a fresh write.
 """
 
 import ast
 import math
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from episcore import cli, episodes, read_episodes, read_pairs, scorer, write_episodes, write_pairs, write_segments
-from episcore.episodes import Segment, SegmentManifest, shard_path, write_features, write_jsonl
+from episcore.episodes import Segment, SegmentManifest, read_features, shard_path, write_features, write_jsonl
+from episcore.errors import FeatureIOError
 from episcore.evaluation import ScoredPair, write_scores
 
 from conftest import make_episode, make_pair
@@ -27,8 +32,8 @@ WRITERS = {"episodes.py": {"_replace_file", "_write_sidecar"}}
 
 def _writes_a_file(call: ast.Call) -> bool:
     """True for ``open``/``.open`` in a mode that writes (or a mode that is
-    not a literal), ``.write_text``, ``.write_bytes``, ``os.replace`` and
-    ``os.rename``."""
+    not a literal), ``os.open`` with flags other than ``os.O_RDONLY``,
+    ``.write_text``, ``.write_bytes``, ``os.replace`` and ``os.rename``."""
     func = call.func
     if isinstance(func, ast.Attribute):
         name, on_os = func.attr, isinstance(func.value, ast.Name) and func.value.id == "os"
@@ -36,6 +41,10 @@ def _writes_a_file(call: ast.Call) -> bool:
         name, on_os = getattr(func, "id", None), False
     if name in ("write_text", "write_bytes") or on_os and name in ("replace", "rename"):
         return True
+    if on_os and name == "open":  # os.open(path, flags)
+        flags = call.args[1] if len(call.args) > 1 else None
+        flags = next((kw.value for kw in call.keywords if kw.arg == "flags"), flags)
+        return not (isinstance(flags, ast.Attribute) and flags.attr == "O_RDONLY")
     if name != "open":
         return False
     positional = 0 if isinstance(func, ast.Attribute) else 1  # path.open(mode) or open(path, mode)
@@ -66,8 +75,10 @@ def _file_writes(source: str) -> list[tuple[str, int]]:
         ("def f(p):\n    p.write_text('')\n", True),
         ("def f(p):\n    p.write_bytes(b'')\n", True),
         ("import os\nos.replace('a', 'b')\n", True),
+        ("import os\ndef f(p):\n    os.open(p, os.O_WRONLY | os.O_CREAT)\n", True),
         ("def f(p):\n    open(p)\n    open(p, 'rb')\n    p.open(encoding='utf-8')\n", False),
         ("def f(s):\n    s.replace('a', 'b')\n", False),
+        ("import os\ndef f(p):\n    os.open(p, os.O_RDONLY)\n", False),
     ],
 )
 def test_the_scan_finds_each_way_of_writing_a_file(source, writes):
@@ -194,6 +205,71 @@ def test_agreement_csv_keeps_the_old_file(tmp_path, monkeypatch):
     with pytest.raises(Crash):
         cli.main(["agreement", "--rows", str(rows), "--out-dir", str(tmp_path)])
     _assert_intact(tmp_path / "agreement.csv", before)
+
+
+# ---------------------------------------------------------------------------
+# The sidecar writer rewrites in place: a rewrite that raises reads as
+# FEATURE_IO, and a finished one holds the bytes of a fresh write.
+# ---------------------------------------------------------------------------
+
+
+def _frames(rows: int, fill: float) -> np.ndarray:
+    return np.full((rows, 4), fill, dtype=np.float32)
+
+
+def _raise_after_rows(monkeypatch, rows: int) -> None:
+    """Make each feature file written get its header and first ``rows`` rows, then raise."""
+    real = episodes._feature_chunks
+
+    def rows_then_crash(*args):
+        chunks = real(*args)
+        yield next(chunks)
+        yield np.concatenate(list(chunks))[:rows]
+        raise Crash
+
+    monkeypatch.setattr(episodes, "_feature_chunks", rows_then_crash)
+
+
+@pytest.mark.parametrize("rows", [0, 3, 7])
+def test_a_sidecar_rewrite_that_raises_reads_as_feature_io(tmp_path, monkeypatch, rows):
+    # The same shape: had the new header gone first, it would pass the size check over old rows, new or a mix.
+    path = tmp_path / "turn.f32"
+    write_features(path, _frames(7, 1.0))
+    _raise_after_rows(monkeypatch, rows)
+    with pytest.raises(Crash):
+        write_features(path, _frames(7, 2.0))
+    with pytest.raises(FeatureIOError):
+        read_features(path)
+
+
+@pytest.mark.parametrize("old_rows, new_rows", [(7, 3), (3, 7)])
+def test_a_sidecar_rewrite_holds_exactly_the_bytes_of_its_rows(tmp_path, old_rows, new_rows):
+    path = tmp_path / "turn.f32"
+    write_features(path, _frames(old_rows, 1.0))
+    write_features(path, _frames(new_rows, 2.0))
+    assert path.read_bytes() == struct.pack("<QQ", new_rows, 4) + _frames(new_rows, 2.0).astype("<f4").tobytes()
+
+
+def test_a_sidecar_rewrite_with_the_same_bytes_still_writes_the_file(tmp_path):
+    path = tmp_path / "turn.f32"
+    write_features(path, _frames(3, 1.0))
+    before = path.read_bytes()
+    os.utime(path, ns=(10**18, 10**18))  # 2001: far enough back that clock granularity cannot hide a missing write
+    write_features(path, _frames(3, 1.0))
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns > 10**18
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc/self/fd")
+def test_a_sidecar_rewrite_that_raises_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    # Development mode warns of a file object left open, not of a raw descriptor from os.open.
+    path = tmp_path / "turn.f32"
+    write_features(path, _frames(7, 1.0))
+    before = sorted(os.listdir("/proc/self/fd"))
+    _raise_after_rows(monkeypatch, 3)
+    with pytest.raises(Crash):
+        write_features(path, _frames(7, 2.0))
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 # ---------------------------------------------------------------------------
