@@ -311,19 +311,23 @@ def _write_sidecar(path: str | Path, features: np.ndarray) -> None:
     """Write a per-turn feature file in place, without truncating it first:
     a curation round rewrites thousands, a temporary file plus a rename each
     halves its throughput, and truncation frees the file's blocks, which
-    waits on a disk that discards them. A header that no file size matches
-    (``_POISON``) goes first, then the rows, a truncate to their end (which
-    frees blocks only when the file shrinks), and the real header last, so a
-    rewrite that raises or dies reads as FEATURE_IO, never as a same-size
-    mix of old and new rows."""
+    waits on a disk that discards them. An empty or new file gets its header
+    and rows in order: cut short, it holds fewer rows than its header says.
+    Over an old file, a header that no file size matches (``_POISON``) goes
+    first, then the rows, a truncate to their end when the old file is
+    longer, and the real header last, so a rewrite that raises or dies reads
+    as FEATURE_IO, never as a same-size mix of old and new rows."""
     chunks = _feature_chunks(*features.shape, [features])
     header = next(chunks)
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:  # "wb" on a descriptor does not truncate
-        fh.write(_POISON)
+        old_size = os.fstat(fh.fileno()).st_size
+        fh.write(_POISON if old_size else header)
         fh.writelines(chunks)
-        fh.truncate()
-        fh.seek(0)
-        fh.write(header)
+        if old_size > fh.tell():
+            fh.truncate()
+        if old_size:
+            fh.seek(0)
+            fh.write(header)
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:

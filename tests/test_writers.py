@@ -6,8 +6,9 @@ The structural test parses the package's sources (it runs nothing) and
 fails on any call outside those two functions that writes a file. The
 crash tests make each committed artifact's payload raise mid-write and
 check that the previous file is intact and no temporary file is left. The
-sidecar tests check the in-place writer's contract: a rewrite that raises
-reads as FEATURE_IO, and a finished one holds the bytes of a fresh write.
+sidecar tests check the in-place writer's contract: a rewrite or a new
+file that raises reads as FEATURE_IO, and a finished one holds the bytes
+of a fresh write.
 """
 
 import ast
@@ -32,8 +33,8 @@ WRITERS = {"episodes.py": {"_replace_file", "_write_sidecar"}}
 
 def _writes_a_file(call: ast.Call) -> bool:
     """True for ``open``/``.open`` in a mode that writes (or a mode that is
-    not a literal), ``os.open`` with flags other than ``os.O_RDONLY``,
-    ``.write_text``, ``.write_bytes``, ``os.replace`` and ``os.rename``."""
+    not a literal), ``.write_text``, ``.write_bytes``, ``os.replace`` and
+    ``os.rename``."""
     func = call.func
     if isinstance(func, ast.Attribute):
         name, on_os = func.attr, isinstance(func.value, ast.Name) and func.value.id == "os"
@@ -41,10 +42,6 @@ def _writes_a_file(call: ast.Call) -> bool:
         name, on_os = getattr(func, "id", None), False
     if name in ("write_text", "write_bytes") or on_os and name in ("replace", "rename"):
         return True
-    if on_os and name == "open":  # os.open(path, flags)
-        flags = call.args[1] if len(call.args) > 1 else None
-        flags = next((kw.value for kw in call.keywords if kw.arg == "flags"), flags)
-        return not (isinstance(flags, ast.Attribute) and flags.attr == "O_RDONLY")
     if name != "open":
         return False
     positional = 0 if isinstance(func, ast.Attribute) else 1  # path.open(mode) or open(path, mode)
@@ -78,7 +75,6 @@ def _file_writes(source: str) -> list[tuple[str, int]]:
         ("import os\ndef f(p):\n    os.open(p, os.O_WRONLY | os.O_CREAT)\n", True),
         ("def f(p):\n    open(p)\n    open(p, 'rb')\n    p.open(encoding='utf-8')\n", False),
         ("def f(s):\n    s.replace('a', 'b')\n", False),
-        ("import os\ndef f(p):\n    os.open(p, os.O_RDONLY)\n", False),
     ],
 )
 def test_the_scan_finds_each_way_of_writing_a_file(source, writes):
@@ -208,8 +204,8 @@ def test_agreement_csv_keeps_the_old_file(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The sidecar writer rewrites in place: a rewrite that raises reads as
-# FEATURE_IO, and a finished one holds the bytes of a fresh write.
+# The sidecar writer rewrites in place: a rewrite or a new file that raises
+# reads as FEATURE_IO, and a finished one holds the bytes of a fresh write.
 # ---------------------------------------------------------------------------
 
 
@@ -242,7 +238,21 @@ def test_a_sidecar_rewrite_that_raises_reads_as_feature_io(tmp_path, monkeypatch
         read_features(path)
 
 
-@pytest.mark.parametrize("old_rows, new_rows", [(7, 3), (3, 7)])
+@pytest.mark.parametrize("empty", [False, True])
+@pytest.mark.parametrize("rows", [0, 3])
+def test_a_new_sidecar_that_raises_reads_as_feature_io(tmp_path, monkeypatch, rows, empty):
+    # No old rows to mix with: the real header goes first, and the file holds fewer rows than it promises.
+    path = tmp_path / "turn.f32"
+    if empty:
+        path.write_bytes(b"")
+    _raise_after_rows(monkeypatch, rows)
+    with pytest.raises(Crash):
+        write_features(path, _frames(7, 2.0))
+    with pytest.raises(FeatureIOError):
+        read_features(path)
+
+
+@pytest.mark.parametrize("old_rows, new_rows", [(0, 3), (7, 3), (4, 3), (3, 7)])
 def test_a_sidecar_rewrite_holds_exactly_the_bytes_of_its_rows(tmp_path, old_rows, new_rows):
     path = tmp_path / "turn.f32"
     write_features(path, _frames(old_rows, 1.0))
